@@ -20,6 +20,10 @@ from .objective import ObjectiveSpec
 from .optimizer import RunRecord, SolverParams
 
 
+# Rows per chunk when a run's trace CSV is written.
+_TRACE_CHUNK = 4096
+
+
 def _fmt_cell(v) -> str:
     if isinstance(v, str):
         return v
@@ -53,11 +57,18 @@ def _read_csv(path, expected_prefix: list[str]) -> tuple[list[str], list[list[st
 
 
 def write_trace_csv(path, record: RunRecord) -> None:
-    _write_csv(
-        path,
-        ["iteration", "loss"],
-        zip((int(i) for i in record.trace_iterations), record.loss_trace),
-    )
+    # Same bytes as _write_csv: no cell of an int or a float repr needs
+    # quoting. Rows are converted in chunks, so that a long trace never
+    # exists as Python objects all at once.
+    iterations, losses = record.trace_iterations, record.loss_trace
+    with open(path, "w", newline="") as fh:
+        fh.write("iteration,loss\n")
+        for lo in range(0, len(losses), _TRACE_CHUNK):
+            rows = slice(lo, lo + _TRACE_CHUNK)
+            fh.writelines(
+                f"{k},{v!r}\n"
+                for k, v in zip(iterations[rows].tolist(), losses[rows].tolist())
+            )
 
 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:

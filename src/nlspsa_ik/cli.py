@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -107,10 +109,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(jobs: int, n_seeds: int) -> int:
+    """Worker processes for a sweep: ``jobs``, but no more than the CPUs or
+    the seeds to share."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, os.cpu_count() or 1, n_seeds))
+
+
 def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
-    if jobs <= 1 or len(seeds) <= 1:
+    jobs = _worker_count(jobs, len(seeds))
+    if jobs == 1:
         return solve_many(spec, chain, params, seeds, return_faults=True)
-    chunks = [c.tolist() for c in np.array_split(np.asarray(seeds), jobs) if c.size]
+    chunks = [c.tolist() for c in np.array_split(np.asarray(seeds), jobs)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [
             pool.submit(solve_many, spec, chain, params, chunk, True)
@@ -190,9 +201,15 @@ def cmd_compare(args) -> int:
     out = _outdir(args)
     stem = f"compare_{_safe_name(scenario.id)}"
     write_compare_csv(out / f"{stem}.csv", seeds, nl_losses, pso_losses)
-    nl_median = float(np.nanmedian(nl_losses))
-    pso_median = float(np.nanmedian(pso_losses))
-    winner = params.variant if nl_median < pso_median else "pso"
+    with warnings.catch_warnings():
+        # a solver whose every seed faulted has a NaN median: no winner
+        warnings.simplefilter("ignore", RuntimeWarning)
+        nl_median = float(np.nanmedian(nl_losses))
+        pso_median = float(np.nanmedian(pso_losses))
+    if np.isnan(nl_median) or np.isnan(pso_median):
+        winner = None
+    else:
+        winner = params.variant if nl_median < pso_median else "pso"
     write_json(
         out / f"{stem}.json",
         {
@@ -203,15 +220,15 @@ def cmd_compare(args) -> int:
             "seeds": seeds,
             "nlspsa_losses": [None if np.isnan(v) else float(v) for v in nl_losses],
             "pso_losses": [None if np.isnan(v) else float(v) for v in pso_losses],
-            "nlspsa_median": nl_median,
-            "pso_median": pso_median,
+            "nlspsa_median": None if np.isnan(nl_median) else nl_median,
+            "pso_median": None if np.isnan(pso_median) else pso_median,
             "winner": winner,
         },
     )
     print(
         f"compare {scenario.id} over {len(seeds)} seeds, budget {budget}: "
         f"{params.variant} median {nl_median:.4e} vs pso median {pso_median:.4e} "
-        f"-> {winner} wins"
+        f"-> {f'{winner} wins' if winner else 'no winner'}"
     )
     print(f"wrote {out / f'{stem}.csv'} and {out / f'{stem}.json'}")
     return EXIT_OK
@@ -286,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=20,
                          help="number of seeds, 0..n-1 (default: 20)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (default: 1)")
+                         help="worker processes, at most one per CPU and per seed "
+                              "(default: 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="budget-matched NLSPSA vs PSO comparison")

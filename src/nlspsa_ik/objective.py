@@ -13,6 +13,9 @@ import numpy as np
 
 from .kinematics import ChainModel, Pose, forward_kinematics, pose_error, DEG2RAD
 
+# A numpy scalar keeps the in-place multiply in evaluate_many on the fast path.
+_DEG2RAD = np.float64(DEG2RAD)
+
 
 def _as_spd_matrix(m, dim: int, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
@@ -138,7 +141,7 @@ class LossEvaluator:
         self._wj = spec.w_jmc_norm
         self._we = spec.w_ee_norm
         r, qm = spec.r_ee, spec.q_jmc
-        self._r_diag = np.diag(r).copy() if _is_diagonal(r) else None
+        self._r_diag = tuple(float(v) for v in np.diag(r)) if _is_diagonal(r) else None
         self._r_full = None if self._r_diag is not None else r
         self._q_diag = np.diag(qm).copy() if _is_diagonal(qm) else None
         self._q_full = None if self._q_diag is not None else qm
@@ -146,29 +149,37 @@ class LossEvaluator:
     def __call__(self, q) -> float:
         return float(self.evaluate_many(np.asarray(q, dtype=float)[None, :])[0])
 
-    def evaluate_many(self, configs: np.ndarray) -> np.ndarray:
-        """Loss for each row of ``configs`` (shape (m, n)); counts m calls."""
+    def evaluate_many(self, configs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Loss for each row of ``configs`` (shape (m, n)); counts m calls.
+
+        Every row goes through the same arithmetic whatever ``m`` is: the
+        row sums use ``np.vecdot``, whose per-row reduction does not depend
+        on the row count (a BLAS matrix-vector product does). The result is
+        written to ``out`` when given.
+        """
         self.calls += configs.shape[0]
-        angles = np.cumsum(configs, axis=1) * DEG2RAD
-        ex = self._tx - np.cos(angles) @ self._lengths
-        ey = self._ty - np.sin(angles) @ self._lengths
-        total = configs.sum(axis=1)
-        theta = np.fmod(total, 360.0)
-        theta[theta < 0.0] += 360.0
-        theta[theta >= 360.0] = 0.0
+        # The ufuncs are called directly: cumsum and sum are add.accumulate
+        # and add.reduce behind a slower method dispatch.
+        angles = np.add.accumulate(configs, 1)
+        angles *= _DEG2RAD
+        ex = self._tx - np.vecdot(np.cos(angles), self._lengths)
+        ey = self._ty - np.vecdot(np.sin(angles), self._lengths)
+        # A tiny negative total has remainder 360.0 after rounding; the
+        # second remainder maps it to 0 and leaves [0, 360) unchanged.
+        theta = np.remainder(np.remainder(np.add.reduce(configs, 1), 360.0), 360.0)
         et = self._ttheta - theta
         if self._r_diag is not None:
-            rd = self._r_diag
-            jee = rd[0] * ex * ex + rd[1] * ey * ey + rd[2] * et * et
+            r0, r1, r2 = self._r_diag
+            jee = r0 * ex * ex + r1 * ey * ey + r2 * et * et
         else:
             eps = np.stack([ex, ey, et], axis=1)
             jee = np.einsum("ij,jk,ik->i", eps, self._r_full, eps)
         dq = configs - self._q0
         if self._q_diag is not None:
-            jjmc = (dq * dq) @ self._q_diag
+            jjmc = np.vecdot(dq * dq, self._q_diag)
         else:
             jjmc = np.einsum("ij,jk,ik->i", dq, self._q_full, dq)
-        return self._wj * jjmc + self._we * jee
+        return np.add(self._wj * jjmc, self._we * jee, out=out)
 
 
 def _is_diagonal(m: np.ndarray) -> bool:

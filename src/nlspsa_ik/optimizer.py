@@ -22,8 +22,16 @@ from .objective import LossEvaluator, ObjectiveSpec
 VARIANTS = ("nlspsa", "spsa")
 
 # Perturbation vectors are drawn per seed in blocks of this many iterations;
-# block draws consume the PRNG stream exactly like per-iteration draws.
+# block draws consume the PRNG stream exactly like per-iteration draws. The
+# run's bookkeeping is settled once per block, too.
 _DELTA_BLOCK = 512
+# Iterations per slice when a block's iterate history is scanned, so that the
+# scan's work buffers stay a fraction of the history buffer.
+_SCAN_ROWS = 64
+# What can end a seed's run at iteration k, in the order the checks apply
+# there. A block's events are ranked by 4*k + kind.
+_LOSS, _ITERATE, _TRACE_LOSS, _STOP = range(4)
+_NO_EVENT = np.iinfo(np.int64).max  # ranks above every event
 
 
 @dataclass(frozen=True)
@@ -198,21 +206,27 @@ def solve_many(
 ) -> list:
     """Run one solver instance per seed, batched over a shared iteration loop.
 
-    Each seed owns an independent PRNG stream, so results per seed do not
-    depend on which other seeds share the batch. With ``return_faults`` the
-    result list carries the :class:`SolverFault` for a failed seed in its
-    slot (other seeds keep running); otherwise the first fault is raised.
-    ``elapsed`` is apportioned evenly across the batch.
+    Each seed owns an independent PRNG stream and every batch size runs the
+    same arithmetic, so a seed's result is bit-identical whichever seeds
+    share its batch. With ``return_faults`` the result list carries the
+    :class:`SolverFault` for a failed seed in its slot (other seeds keep
+    running); otherwise the earliest fault is raised (the lowest seed index
+    on ties). ``elapsed`` is apportioned evenly across the batch.
+
+    Each iteration only measures the two losses, takes the step, and stores
+    the losses and the new iterate in per-block buffers. Finiteness checks,
+    best-so-far tracking, the step bound and ``stop_loss`` are settled once
+    per block from those buffers, with the same outcome, down to the fault
+    iteration, as checking after every iteration.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         return []
-    evaluator = LossEvaluator(spec, chain)
+    evaluate = LossEvaluator(spec, chain).evaluate_many
     n = chain.n
     n_seeds = len(seeds)
     n_iter = params.n_max
-    nlspsa = params.variant == "nlspsa"
-    d = params.d
+    d = params.d if params.variant == "nlspsa" else None
     stop_loss = params.stop_loss
     limits = chain.joint_limits
     if limits is not None:
@@ -221,7 +235,6 @@ def solve_many(
 
     started = time.perf_counter()
     gens = [np.random.default_rng(s) for s in seeds]
-    phi = np.tile(np.asarray(spec.reference), (n_seeds, 1))
 
     ks = np.arange(1, n_iter + 1)
     a_ks = params.a / (params.A + ks) ** params.alpha
@@ -231,94 +244,152 @@ def solve_many(
     if trace_ks[-1] != n_iter:
         trace_ks.append(n_iter)
     trace_ks = np.asarray(trace_ks)
-    n_trace = len(trace_ks)
-    traces = np.full((n_seeds, n_trace), np.nan)
+    traces = np.full((len(trace_ks), n_seeds), np.nan)
+
+    # hist[0] is the current iterate; a block's perturbations are drawn into
+    # hist[1:], and iteration j overwrites its perturbation hist[j + 1] with
+    # the iterate it produces.
+    hist = np.empty((_DELTA_BLOCK + 1, n_seeds, n))
+    hist[0] = spec.reference
+    loss_plus = np.empty((_DELTA_BLOCK, n_seeds))
+    loss_minus = np.empty((_DELTA_BLOCK, n_seeds))
+    # row views made once, so the loop does not index the buffers
+    hist_rows, plus_rows, minus_rows = list(hist), list(loss_plus), list(loss_minus)
+    finite_buf = np.empty((_SCAN_ROWS, n_seeds, n), dtype=bool)
+    step_buf = np.empty((_SCAN_ROWS, n_seeds, n))
 
     active = np.ones(n_seeds, dtype=bool)
     faults: list[SolverFault | None] = [None] * n_seeds
     iterations_done = np.zeros(n_seeds, dtype=int)
-    evals = np.zeros(n_seeds, dtype=int)
-    trace_evals = np.zeros(n_seeds, dtype=int)
     final_phi = np.empty((n_seeds, n))
     final_loss = np.full(n_seeds, np.nan)
     max_step = np.zeros(n_seeds)
+    best_phi = hist[0].copy()
+    best_loss = np.full(n_seeds, np.inf)
 
-    def mark_faults(bad_rows: np.ndarray, k: int, what: str) -> None:
-        for s in np.flatnonzero(bad_rows):
-            faults[s] = SolverFault(
-                f"non-finite {what} at iteration {k} (seed {seeds[s]})", iteration=k
+    def first_event(bad: np.ndarray, at: np.ndarray, kind: int) -> np.ndarray:
+        """Rank of each seed's first ``bad`` row (rows happen at ``at``)."""
+        if not bad.shape[0]:
+            return np.full(n_seeds, _NO_EVENT)
+        return np.where(bad.any(axis=0), at[bad.argmax(axis=0)] * 4 + kind, _NO_EVENT)
+
+    def settle_block(block_start: int, block_len: int, slots: slice) -> None:
+        """Checks and bookkeeping for iterations block_start+1 .. block_start
+        + block_len, whose trace points are ``slots`` (slot 0, the initial
+        point, is settled with the first block)."""
+        history = hist[: block_len + 1]
+        at_k = np.arange(block_start + 1, block_start + block_len + 1)
+        values = traces[slots]
+        value_ks = trace_ks[slots]
+        iterate_bad = np.empty((block_len, n_seeds), dtype=bool)
+        steps = np.empty((block_len, n_seeds))
+        for lo in range(0, block_len, _SCAN_ROWS):
+            hi = min(lo + _SCAN_ROWS, block_len)
+            finite = np.isfinite(history[lo + 1 : hi + 1], out=finite_buf[: hi - lo])
+            np.logical_not(finite.all(axis=2), out=iterate_bad[lo:hi])
+            step = np.subtract(
+                history[lo + 1 : hi + 1], history[lo:hi], out=step_buf[: hi - lo]
             )
-            active[s] = False
-        if not return_faults and any(f is not None for f in faults):
-            raise next(f for f in faults if f is not None)
-
-    def record_trace(slot: int, values: np.ndarray, k: int) -> None:
-        trace_evals[active] += 1
-        mark_faults(active & ~np.isfinite(values), k, "loss")
-        traces[active, slot] = values[active]
-        improved = active & (values < best_loss)
-        best_loss[improved] = values[improved]
-        for s in np.flatnonzero(improved):
-            best_phi[s] = phi[s].copy()
+            np.abs(step, out=step).max(axis=2, out=steps[lo:hi])
+        measured_bad = ~(
+            np.isfinite(loss_plus[:block_len]) & np.isfinite(loss_minus[:block_len])
+        )
+        events = np.minimum(
+            first_event(measured_bad, at_k, _LOSS),
+            first_event(iterate_bad, at_k, _ITERATE),
+        )
+        np.minimum(events, first_event(~np.isfinite(values), value_ks, _TRACE_LOSS), out=events)
         if stop_loss is not None:
-            done = active & (values <= stop_loss)
-            for s in np.flatnonzero(done):
-                final_phi[s] = phi[s]
-                final_loss[s] = values[s]
-                active[s] = False
+            np.minimum(events, first_event(values <= stop_loss, value_ks, _STOP), out=events)
+        events[~active] = _NO_EVENT
+        event_k, kind = np.divmod(events, 4)
+        stopped = (events != _NO_EVENT) & (kind == _STOP)
+        counted = active & ((events == _NO_EVENT) | stopped)
+
+        # A seed that stops at iteration k counts this block's iterations,
+        # steps and trace values up to k; one that runs on counts them all.
+        done = np.where(stopped, event_k - block_start, block_len)
+        iterations_done[counted] += done[counted]
+        in_run = at_k[:, None] - block_start <= done
+        np.maximum(max_step, np.where(in_run, steps, 0.0).max(axis=0), out=max_step, where=counted)
+        if values.shape[0]:
+            seen = np.where(value_ks[:, None] - block_start <= done, values, np.inf)
+            first_min = seen.argmin(axis=0)
+            lowest = seen[first_min, np.arange(n_seeds)]
+            improved = counted & (lowest < best_loss)
+            best_loss[improved] = lowest[improved]
+            best_phi[improved] = history[value_ks[first_min[improved]] - block_start, improved]
+        final_phi[stopped] = history[done[stopped], stopped]
+        final_loss[stopped] = values[np.searchsorted(value_ks, event_k[stopped]), stopped]
+        active[events != _NO_EVENT] = False
+
+        faulted = np.flatnonzero((events != _NO_EVENT) & ~stopped)
+        for s in faulted:
+            what = "iterate" if kind[s] == _ITERATE else "loss"
+            faults[s] = SolverFault(
+                f"non-finite {what} at iteration {event_k[s]} (seed {seeds[s]})",
+                iteration=int(event_k[s]),
+            )
+        if faulted.size and not return_faults:
+            raise faults[faulted[events[faulted].argmin()]]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        best_phi = phi.copy()
-        best_loss = np.full(n_seeds, np.inf)
-        initial = evaluator.evaluate_many(phi)
-        record_trace(0, initial, 0)
-        slot = 1
-
+        evaluate(hist[0], out=traces[0])
+        # Seeds known to be done once stop_loss is in use; when all of them
+        # are, the block ends at that trace point.
+        reached = None if stop_loss is None else traces[0] <= stop_loss
+        slot = 0  # the first trace point not yet settled
         for block_start in range(0, n_iter, _DELTA_BLOCK):
             if not active.any():
                 break
             block_len = min(_DELTA_BLOCK, n_iter - block_start)
-            deltas = np.empty((block_len, n_seeds, n))
+            deltas = hist[1 : block_len + 1]
             for si, gen in enumerate(gens):
                 deltas[:, si, :] = gen.integers(0, 2, size=(block_len, n))
             deltas *= 2.0
             deltas -= 1.0
+            block = slice(block_start, block_start + block_len)
+            a_block = a_ks[block].tolist()
+            c_block = c_ks[block].tolist()
+            # trace_out[j] receives the loss at the iterate hist[j], if traced
+            trace_out = [None] * (block_len + 1)
+            for i in range(max(slot, 1), np.searchsorted(trace_ks, block.stop, "right")):
+                trace_out[trace_ks[i] - block_start] = traces[i]
+            if reached is not None:
+                reached |= ~active
 
             for j in range(block_len):
-                if not active.any():
-                    break
-                k = block_start + j + 1
-                a_k = a_ks[k - 1]
-                c_k = c_ks[k - 1]
-                delta = deltas[j]
-                loss_plus = evaluator.evaluate_many(phi + c_k * delta)
-                loss_minus = evaluator.evaluate_many(phi - c_k * delta)
-                evals[active] += 2
-                mark_faults(
-                    active & ~(np.isfinite(loss_plus) & np.isfinite(loss_minus)),
-                    k,
-                    "loss",
-                )
-                g_hat = ((loss_plus - loss_minus) / (2.0 * c_k))[:, None] / delta
-                update = a_k * g_hat
-                if nlspsa:
-                    np.clip(update, -d, d, out=update)
-                new_phi = phi - update
+                c_k = c_block[j]
+                phi = hist_rows[j]
+                new_phi = hist_rows[j + 1]  # holds this iteration's delta
+                perturbation = c_k * new_phi
+                plus = evaluate(phi + perturbation, out=plus_rows[j])
+                minus = evaluate(phi - perturbation, out=minus_rows[j])
+                # delta is +-1, so every component of the update has the
+                # magnitude of this per-seed factor; saturating the factor
+                # saturates each component exactly as np.clip would.
+                factor = a_block[j] * ((plus - minus) / (2.0 * c_k))
+                if d is not None:
+                    factor = np.minimum(np.maximum(factor, -d), d)
+                np.subtract(phi, factor[:, None] * new_phi, out=new_phi)
                 if limits is not None:
                     np.clip(new_phi, q_lo, q_hi, out=new_phi)
-                mark_faults(active & ~np.isfinite(new_phi).all(axis=1), k, "iterate")
-                step_inf = np.abs(new_phi - phi).max(axis=1)
-                np.maximum(max_step, np.where(active, step_inf, 0.0), out=max_step)
-                phi = new_phi
-                iterations_done[active] += 1
-                if slot < n_trace and k == trace_ks[slot]:
-                    if active.any():
-                        record_trace(slot, evaluator.evaluate_many(phi), k)
-                    slot += 1
+                if trace_out[j + 1] is not None:
+                    traced = evaluate(new_phi, out=trace_out[j + 1])
+                    if reached is not None:
+                        reached |= traced <= stop_loss
+                        if reached.all():
+                            block_len = j + 1
+                            break
+
+            settled = np.searchsorted(trace_ks, block_start + block_len, "right")
+            settle_block(block_start, block_len, slice(slot, settled))
+            slot = settled
+            hist[0] = hist[block_len]
 
         still_running = np.flatnonzero(active)
-        final_phi[still_running] = phi[still_running]
-        final_loss[still_running] = traces[still_running, -1]
+        final_phi[still_running] = hist[0, still_running]
+        final_loss[still_running] = traces[-1, still_running]
 
     elapsed = (time.perf_counter() - started) / n_seeds
     results: list = []
@@ -331,14 +402,14 @@ def solve_many(
             RunRecord(
                 final_iterate=final_phi[s].copy(),
                 final_pose=forward_kinematics(chain, final_phi[s]),
-                initial_loss=float(traces[s, 0]),
+                initial_loss=float(traces[0, s]),
                 final_loss=float(final_loss[s]),
-                loss_trace=traces[s, valid].copy(),
-                trace_iterations=trace_ks[valid].copy(),
+                loss_trace=traces[valid, s],
+                trace_iterations=trace_ks[valid],
                 best_iterate=best_phi[s].copy(),
                 best_loss=float(best_loss[s]),
-                evaluations=int(evals[s]),
-                trace_evaluations=int(trace_evals[s]),
+                evaluations=2 * int(iterations_done[s]),
+                trace_evaluations=int(np.count_nonzero(valid)),
                 iterations=int(iterations_done[s]),
                 max_step_inf=float(max_step[s]),
                 seed=seeds[s],

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,23 @@ class TestTraceCsv:
         iterations, losses = read_trace_csv(path)
         assert np.array_equal(iterations, rec.trace_iterations)
         assert np.array_equal(losses, rec.loss_trace)
+
+    def test_bytes_match_the_csv_module(self, short_run, tmp_path):
+        # a long trace spans several write chunks; odd values need no quoting
+        _, rec = short_run
+        rng = np.random.default_rng(0)
+        losses = rng.lognormal(size=10_000)
+        losses[[3, 4, 5, 6]] = [np.nan, np.inf, -0.0, 1e-300]
+        long_rec = dataclasses.replace(
+            rec, loss_trace=losses, trace_iterations=np.arange(losses.size) * 3
+        )
+        write_trace_csv(tmp_path / "fast.csv", long_rec)
+        with open(tmp_path / "csv.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["iteration", "loss"])
+            for k, v in zip(long_rec.trace_iterations, losses):
+                writer.writerow([repr(int(k)), repr(float(v))])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,11 +1,16 @@
 import json
+import os
+import warnings
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from nlspsa_ik.artifacts import read_compare_csv, read_sweep_csv, read_trace_csv
-from nlspsa_ik.cli import main
+from nlspsa_ik import cli
+from nlspsa_ik.cli import _worker_count, main
+from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.svgplot import convergence_svg, posture_svg
 
 
@@ -134,6 +139,53 @@ class TestSweepCommand:
         assert code == 0
         assert len(read_sweep_csv(tmp_path / "sweep_1.1.csv")["seeds"]) == 4
 
+    def test_worker_count_is_clamped(self, monkeypatch):
+        assert _worker_count(10**6, 10**6) == (os.cpu_count() or 1)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert _worker_count(64, 20) == 4
+        assert _worker_count(8, 3) == 3
+        assert _worker_count(1, 20) == 1
+        assert _worker_count(4, 0) == 1
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                _worker_count(jobs, 20)
+
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path):
+        code = run_cli(
+            "sweep", "--scenario", "1.1", "--seeds", "4", "--n-max", "10",
+            "--jobs", "0", "--out", tmp_path,
+        )
+        assert code == 2
+
+    def test_pool_never_exceeds_the_clamp(self, tmp_path, monkeypatch):
+        # A stand-in pool records its size and runs each chunk in-process.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code = run_cli(
+            "sweep", "--scenario", "1.1", "--seeds", "3", "--n-max", "20",
+            "--jobs", "1000", "--out", tmp_path,
+        )
+        assert code == 0
+        assert sizes == [2]
+        assert len(read_sweep_csv(tmp_path / "sweep_1.1.csv")["seeds"]) == 3
+
     def test_all_faulted_marked(self, tmp_path, capsys):
         code = run_cli(
             "sweep", "--scenario", "1.1", "--seeds", "2", "--n-max", "60",
@@ -159,6 +211,25 @@ class TestCompareCommand:
         doc = json.loads((tmp_path / "compare_1.1.json").read_text())
         assert doc["winner"] in ("nlspsa", "pso")
         assert doc["eval_budget"] == 3000
+
+    def test_all_nlspsa_seeds_faulted_means_no_winner(self, tmp_path, capsys, monkeypatch):
+        def faulting_solve_many(spec, chain, params, seeds, return_faults=False):
+            return [SolverFault("non-finite loss at iteration 1", iteration=1) for _ in seeds]
+
+        monkeypatch.setattr(cli, "solve_many", faulting_solve_many)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "compare", "--scenario", "1.1", "--seeds", "2", "--budget", "200",
+                "--population", "30", "--out", tmp_path,
+            )
+        assert code == 0
+        assert "no winner" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "compare_1.1.json").read_text())
+        assert doc["winner"] is None
+        assert doc["nlspsa_median"] is None
+        assert doc["nlspsa_losses"] == [None, None]
+        assert doc["pso_median"] is not None
 
     def test_budget_equal_population_still_valid(self, tmp_path):
         code = run_cli(

@@ -1,0 +1,337 @@
+"""The batched engine settles its bookkeeping once per perturbation block.
+
+These tests pin that bookkeeping to a per-iteration reference loop, bit for
+bit, and check that faults keep their exact iteration and wording and that a
+seed's result does not depend on the batch it runs in.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nlspsa_ik.errors import SolverFault
+from nlspsa_ik.kinematics import forward_kinematics
+from nlspsa_ik.objective import LossEvaluator
+from nlspsa_ik.optimizer import RunRecord, SolverParams, solve, solve_many
+from nlspsa_ik.scenarios import builtin, builtin_ids
+
+BLOCK = 512  # iterations per perturbation block, as drawn by the engine
+
+
+def reference_solve_many(spec, chain, params, seeds, return_faults=False):
+    """Per-iteration oracle: checks faults, best-so-far, the step bound and
+    stop_loss after every iteration, as the engine did before it settled
+    them per block."""
+    seeds = [int(s) for s in seeds]
+    evaluator = LossEvaluator(spec, chain)
+    n = chain.n
+    n_seeds = len(seeds)
+    n_iter = params.n_max
+    nlspsa = params.variant == "nlspsa"
+    d = params.d
+    stop_loss = params.stop_loss
+    limits = chain.joint_limits
+    if limits is not None:
+        q_lo = np.asarray(limits[0])
+        q_hi = np.asarray(limits[1])
+
+    gens = [np.random.default_rng(s) for s in seeds]
+    phi = np.tile(np.asarray(spec.reference), (n_seeds, 1))
+    ks = np.arange(1, n_iter + 1)
+    a_ks = params.a / (params.A + ks) ** params.alpha
+    c_ks = params.c / ks**params.gamma
+    trace_ks = list(range(0, n_iter + 1, params.trace_every))
+    if trace_ks[-1] != n_iter:
+        trace_ks.append(n_iter)
+    trace_ks = np.asarray(trace_ks)
+    n_trace = len(trace_ks)
+    traces = np.full((n_seeds, n_trace), np.nan)
+
+    active = np.ones(n_seeds, dtype=bool)
+    faults = [None] * n_seeds
+    iterations_done = np.zeros(n_seeds, dtype=int)
+    evals = np.zeros(n_seeds, dtype=int)
+    trace_evals = np.zeros(n_seeds, dtype=int)
+    final_phi = np.empty((n_seeds, n))
+    final_loss = np.full(n_seeds, np.nan)
+    max_step = np.zeros(n_seeds)
+
+    def mark_faults(bad_rows, k, what):
+        for s in np.flatnonzero(bad_rows):
+            faults[s] = SolverFault(
+                f"non-finite {what} at iteration {k} (seed {seeds[s]})", iteration=k
+            )
+            active[s] = False
+        if not return_faults and any(f is not None for f in faults):
+            raise next(f for f in faults if f is not None)
+
+    def record_trace(slot, values, k):
+        trace_evals[active] += 1
+        mark_faults(active & ~np.isfinite(values), k, "loss")
+        traces[active, slot] = values[active]
+        improved = active & (values < best_loss)
+        best_loss[improved] = values[improved]
+        for s in np.flatnonzero(improved):
+            best_phi[s] = phi[s].copy()
+        if stop_loss is not None:
+            for s in np.flatnonzero(active & (values <= stop_loss)):
+                final_phi[s] = phi[s]
+                final_loss[s] = values[s]
+                active[s] = False
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        best_phi = phi.copy()
+        best_loss = np.full(n_seeds, np.inf)
+        record_trace(0, evaluator.evaluate_many(phi), 0)
+        slot = 1
+        for block_start in range(0, n_iter, BLOCK):
+            if not active.any():
+                break
+            block_len = min(BLOCK, n_iter - block_start)
+            deltas = np.empty((block_len, n_seeds, n))
+            for si, gen in enumerate(gens):
+                deltas[:, si, :] = gen.integers(0, 2, size=(block_len, n))
+            deltas *= 2.0
+            deltas -= 1.0
+            for j in range(block_len):
+                if not active.any():
+                    break
+                k = block_start + j + 1
+                a_k, c_k, delta = a_ks[k - 1], c_ks[k - 1], deltas[j]
+                loss_plus = evaluator.evaluate_many(phi + c_k * delta)
+                loss_minus = evaluator.evaluate_many(phi - c_k * delta)
+                evals[active] += 2
+                mark_faults(
+                    active & ~(np.isfinite(loss_plus) & np.isfinite(loss_minus)), k, "loss"
+                )
+                update = a_k * (((loss_plus - loss_minus) / (2.0 * c_k))[:, None] / delta)
+                if nlspsa:
+                    np.clip(update, -d, d, out=update)
+                new_phi = phi - update
+                if limits is not None:
+                    np.clip(new_phi, q_lo, q_hi, out=new_phi)
+                mark_faults(active & ~np.isfinite(new_phi).all(axis=1), k, "iterate")
+                step_inf = np.abs(new_phi - phi).max(axis=1)
+                np.maximum(max_step, np.where(active, step_inf, 0.0), out=max_step)
+                phi = new_phi
+                iterations_done[active] += 1
+                if slot < n_trace and k == trace_ks[slot]:
+                    if active.any():
+                        record_trace(slot, evaluator.evaluate_many(phi), k)
+                    slot += 1
+        running = np.flatnonzero(active)
+        final_phi[running] = phi[running]
+        final_loss[running] = traces[running, -1]
+
+    results = []
+    for s in range(n_seeds):
+        if faults[s] is not None:
+            results.append(faults[s])
+            continue
+        valid = trace_ks <= iterations_done[s]
+        results.append(
+            RunRecord(
+                final_iterate=final_phi[s].copy(),
+                final_pose=forward_kinematics(chain, final_phi[s]),
+                initial_loss=float(traces[s, 0]),
+                final_loss=float(final_loss[s]),
+                loss_trace=traces[s, valid].copy(),
+                trace_iterations=trace_ks[valid].copy(),
+                best_iterate=best_phi[s].copy(),
+                best_loss=float(best_loss[s]),
+                evaluations=int(evals[s]),
+                trace_evaluations=int(trace_evals[s]),
+                iterations=int(iterations_done[s]),
+                max_step_inf=float(max_step[s]),
+                seed=seeds[s],
+                elapsed=0.0,
+            )
+        )
+    return results
+
+
+def assert_same_outcome(got, want):
+    """Every RunRecord field but ``elapsed`` is bit-identical, or both are
+    the same fault."""
+    if isinstance(want, SolverFault):
+        assert isinstance(got, SolverFault)
+        assert (str(got), got.iteration) == (str(want), want.iteration)
+        return
+    assert isinstance(got, RunRecord), got
+    for field in dataclasses.fields(RunRecord):
+        if field.name == "elapsed":
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "final_pose":
+            a, b = a.as_array(), b.as_array()
+        assert type(a) is type(b), field.name
+        assert np.array_equal(a, b), field.name
+
+
+@pytest.mark.parametrize(
+    "seeds, overrides",
+    [
+        ([0], {"n_max": 3000, "trace_every": 1}),
+        ([0], {"n_max": 3000, "trace_every": 7}),
+        # seeds stop after the first block boundary (iterations 832-925) ...
+        ([0], {"stop_loss": 5e-3}),
+        ([0, 1, 2, 3], {"stop_loss": 5e-3, "trace_every": 7}),
+        # ... or inside the first block (iterations 210-253)
+        ([0, 1, 2, 3], {"stop_loss": 0.05}),
+    ],
+)
+def test_engine_matches_per_iteration_oracle(seeds, overrides):
+    scenario = builtin("1.1")
+    params = SolverParams(**overrides)
+    got = solve_many(scenario.spec, scenario.chain, params, seeds)
+    want = reference_solve_many(scenario.spec, scenario.chain, params, seeds)
+    for g, w in zip(got, want, strict=True):
+        assert_same_outcome(g, w)
+        assert g.evaluations == 2 * g.iterations
+    if "stop_loss" in overrides:
+        assert all(g.iterations < params.n_max for g in got)
+
+
+def test_batch_ends_when_every_seed_has_stopped(monkeypatch):
+    # Seeds 0-3 stop at iterations 210-253, inside the first block; neither
+    # loop measures beyond the last of them.
+    scenario = builtin("1.1")
+    params = SolverParams(stop_loss=0.05)
+    calls = []
+
+    def counting(self, configs, out=None):
+        calls.append(len(configs))
+        return EVALUATE_MANY(self, configs, out=out)
+
+    monkeypatch.setattr(LossEvaluator, "evaluate_many", counting)
+    got = solve_many(scenario.spec, scenario.chain, params, SEEDS)
+    engine_calls = len(calls)
+    calls.clear()
+    reference_solve_many(scenario.spec, scenario.chain, params, SEEDS)
+    last = max(g.iterations for g in got)
+    assert engine_calls == len(calls) == 1 + 3 * last
+
+
+def test_single_seed_solve_matches_oracle():
+    scenario = builtin("1.1")
+    params = SolverParams(n_max=1200, seed=5, trace_every=3)
+    want = reference_solve_many(scenario.spec, scenario.chain, params, [5])[0]
+    assert_same_outcome(solve(scenario.spec, scenario.chain, params), want)
+
+
+INJECT_AT = 700  # mid-block: the second block runs iterations 513..1024
+N_MAX = 1500
+SEEDS = [0, 1, 2, 3]
+
+
+EVALUATE_MANY = LossEvaluator.evaluate_many
+
+
+def injecting(monkeypatch, plan):
+    """Replace evaluate_many's result rows as ``plan`` says: call index ->
+    {row: value}. Until the first trace point after 0, iteration k measures
+    at calls 2k-1 (plus) and 2k (minus); call 0 is the initial point."""
+    original = EVALUATE_MANY
+    calls = iter(range(10**9))
+
+    def evaluate_many(self, configs, out=None):
+        values = original(self, configs, out=out)
+        for row, value in plan.get(next(calls), {}).items():
+            values[row] = value
+        return values
+
+    monkeypatch.setattr(LossEvaluator, "evaluate_many", evaluate_many)
+
+
+def run_batch(params, return_faults=True):
+    scenario = builtin("1.1")
+    return solve_many(scenario.spec, scenario.chain, params, SEEDS, return_faults)
+
+
+@pytest.mark.parametrize("measurement", ["plus", "minus"])
+def test_nan_loss_mid_block_faults_at_its_iteration(monkeypatch, measurement):
+    params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
+    clean = run_batch(params)
+    call = 2 * INJECT_AT - (measurement == "plus")
+    injecting(monkeypatch, {call: {1: np.nan}})
+    outcomes = run_batch(params)
+    fault = outcomes[1]
+    assert isinstance(fault, SolverFault)
+    assert fault.iteration == INJECT_AT
+    assert str(fault) == f"non-finite loss at iteration {INJECT_AT} (seed 1)"
+    for s in (0, 2, 3):
+        assert_same_outcome(outcomes[s], clean[s])
+        assert outcomes[s].evaluations == 2 * outcomes[s].iterations == 2 * N_MAX
+
+
+def test_non_finite_iterate_is_named_as_such(monkeypatch):
+    # Finite but opposite extreme losses make an infinite unsaturated step.
+    # The trace point at the same iteration then measures a NaN loss, which
+    # the iterate check precedes.
+    params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, variant="spsa")
+    clean = run_batch(params)
+    k = INJECT_AT
+    injecting(monkeypatch, {2 * k - 1: {2: 1e308, 0: np.nan}, 2 * k: {2: -1e308}})
+    outcomes = run_batch(params)
+    assert (str(outcomes[0]), outcomes[0].iteration) == (
+        f"non-finite loss at iteration {k} (seed 0)", k
+    )
+    assert (str(outcomes[2]), outcomes[2].iteration) == (
+        f"non-finite iterate at iteration {k} (seed 2)", k
+    )
+    for s in (1, 3):
+        assert_same_outcome(outcomes[s], clean[s])
+
+
+def test_stop_at_a_large_step_matches_oracle(monkeypatch):
+    # Seed 1 takes by far its largest step at iteration 700 and stops on the
+    # trace point right after it, mid-block.
+    params = SolverParams(
+        n_max=N_MAX, trace_every=INJECT_AT, variant="spsa", a=1e-3, stop_loss=1e-9
+    )
+    scenario = builtin("1.1")
+    plan = {2 * INJECT_AT - 1: {1: 1e3}, 2 * INJECT_AT + 1: {1: 0.0}}
+    injecting(monkeypatch, plan)
+    got = run_batch(params)
+    injecting(monkeypatch, plan)
+    want = reference_solve_many(scenario.spec, scenario.chain, params, SEEDS, True)
+    assert got[1].iterations == INJECT_AT and got[1].final_loss == 0.0
+    assert got[1].max_step_inf > 10 * max(got[s].max_step_inf for s in (0, 2, 3))
+    for g, w in zip(got, want, strict=True):
+        assert_same_outcome(g, w)
+
+
+def test_raises_the_earliest_fault(monkeypatch):
+    params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
+    # seed 3 faults first (iteration 700); seeds 0 and 2 tie later (901)
+    plan = {2 * 901 - 1: {0: np.nan, 2: np.nan}, 2 * INJECT_AT: {3: np.inf}}
+    injecting(monkeypatch, plan)
+    with pytest.raises(SolverFault) as excinfo:
+        run_batch(params, return_faults=False)
+    assert excinfo.value.iteration == INJECT_AT
+    assert str(excinfo.value) == f"non-finite loss at iteration {INJECT_AT} (seed 3)"
+
+    injecting(monkeypatch, {2 * 901 - 1: {2: np.nan, 1: np.nan}})
+    with pytest.raises(SolverFault, match=r"at iteration 901 \(seed 1\)"):
+        run_batch(params, return_faults=False)
+
+
+def test_non_finite_traced_loss_faults_at_trace_point(monkeypatch):
+    params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
+    injecting(monkeypatch, {0: {2: np.nan}, 2 * N_MAX + 1: {1: np.nan}})
+    outcomes = run_batch(params)
+    assert (str(outcomes[2]), outcomes[2].iteration) == (
+        "non-finite loss at iteration 0 (seed 2)", 0
+    )
+    assert outcomes[1].iteration == N_MAX
+    assert isinstance(outcomes[0], RunRecord) and isinstance(outcomes[3], RunRecord)
+
+
+@pytest.mark.parametrize("scenario_id", builtin_ids())
+def test_seed_alone_matches_its_row_in_a_batch(scenario_id):
+    scenario = builtin(scenario_id)
+    params = SolverParams(n_max=60, trace_every=7)
+    batch = solve_many(scenario.spec, scenario.chain, params, range(20))
+    for seed in range(20):
+        alone = solve_many(scenario.spec, scenario.chain, params, [seed])[0]
+        assert_same_outcome(batch[seed], alone)
