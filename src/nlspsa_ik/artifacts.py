@@ -251,14 +251,23 @@ def run_result_doc(
     record: RunRecord,
     trace_csv: str,
 ) -> dict:
-    """Self-contained description of one run, enough to re-plot it."""
+    """Self-contained description of one run, enough to re-plot and to
+    re-run it: chain, objective, solver settings and the versions used."""
+    from . import __version__
+
+    limits = chain.joint_limits
     return {
         "scenario_id": scenario_id,
         "seed": record.seed,
         "variant": params.variant,
         "link_lengths": list(chain.link_lengths),
+        "joint_limits": None
+        if limits is None
+        else {"q_min": list(limits[0]), "q_max": list(limits[1])},
         "q0_deg": [float(v) for v in spec.reference],
         "target": _pose_doc(spec.target),
+        "r_ee": spec.r_ee.tolist(),
+        "q_jmc": spec.q_jmc.tolist(),
         "final_q_deg": [float(v) for v in record.final_iterate],
         "final_pose": _pose_doc(record.final_pose),
         "initial_loss": record.initial_loss,
@@ -283,6 +292,7 @@ def run_result_doc(
             "w_ee": spec.w_ee,
         },
         "trace_csv": trace_csv,
+        "versions": {"nlspsa_ik": __version__, "numpy": np.__version__},
     }
 
 
@@ -301,4 +311,9 @@ def read_run_result(path) -> dict:
     missing = [k for k in required if k not in doc]
     if missing:
         raise ArtifactError(f"{path}: run artifact is missing fields {missing}")
+    limits = doc.get("joint_limits")
+    if limits is not None and not (
+        isinstance(limits, dict) and "q_min" in limits and "q_max" in limits
+    ):
+        raise ArtifactError(f"{path}: joint_limits needs q_min and q_max")
     return doc

@@ -133,7 +133,18 @@ def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
     return outcomes
 
 
+def _require_trace_for_stop_loss(args) -> None:
+    """sweep and compare trace only at n-max unless told otherwise, so a
+    stop loss without --trace-every would never be checked mid-run."""
+    if args.stop_loss is not None and args.trace_every is None:
+        raise ValueError(
+            f"--stop-loss needs --trace-every in {args.command}: the loss is "
+            "otherwise traced only at the last iteration"
+        )
+
+
 def cmd_sweep(args) -> int:
+    _require_trace_for_stop_loss(args)
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
     params = _solver_params(args, seed=0)
@@ -165,6 +176,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _require_trace_for_stop_loss(args)
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
     params = _solver_params(args, seed=0)
@@ -240,7 +252,11 @@ def cmd_plot(args) -> int:
     iterations, losses = read_trace_csv(run_path.parent / doc["trace_csv"])
     if iterations.size == 0:
         raise ArtifactError(f"{doc['trace_csv']}: empty loss trace")
-    chain = ChainModel(tuple(doc["link_lengths"]))
+    limits = doc.get("joint_limits")
+    chain = ChainModel(
+        tuple(doc["link_lengths"]),
+        joint_limits=None if limits is None else (limits["q_min"], limits["q_max"]),
+    )
     initial_pts = joint_positions(chain, doc["q0_deg"])
     final_pts = joint_positions(chain, doc["final_q_deg"])
     target = (doc["target"]["x"], doc["target"]["y"])
@@ -282,7 +298,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                              "n-max for sweep/compare)")
     solver.add_argument("--stop-loss", type=float, default=None, dest="stop_loss",
                         help="stop early once the traced loss falls below this "
-                             "(default: off)")
+                             "(default: off; sweep and compare need --trace-every)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,8 @@ import numpy as np
 
 from .kinematics import ChainModel, Pose, forward_kinematics, pose_error, DEG2RAD
 
-# A numpy scalar keeps the in-place multiply in evaluate_many on the fast path.
+# A numpy scalar keeps the degree-to-radian multiply in evaluate_many on the
+# fast path.
 _DEG2RAD = np.float64(DEG2RAD)
 
 
@@ -121,6 +122,9 @@ class LossEvaluator:
     inputs on every call and supports evaluating a batch of configurations at
     once (rows of a 2-D array). ``calls`` counts one measurement per
     configuration evaluated.
+
+    Work buffers are kept per row count and reused by every call, so one
+    evaluator must not be shared between threads.
     """
 
     spec: ObjectiveSpec
@@ -133,21 +137,40 @@ class LossEvaluator:
             raise ValueError(
                 f"objective is {spec.n}-dimensional but chain has {chain.n} joints"
             )
-        self._lengths = np.asarray(chain.link_lengths)
+        lengths = np.asarray(chain.link_lengths)
         self._q0 = np.asarray(spec.reference)
-        self._tx = spec.target.x
-        self._ty = spec.target.y
-        self._ttheta = spec.target.theta_deg
-        self._wj = spec.w_jmc_norm
-        self._we = spec.w_ee_norm
+        target = spec.target
+        self._target = np.array([[target.x], [target.y], [target.theta_deg]])
+        self._weights = np.array([[spec.w_jmc_norm], [spec.w_ee_norm]])
         r, qm = spec.r_ee, spec.q_jmc
-        self._r_diag = tuple(float(v) for v in np.diag(r)) if _is_diagonal(r) else None
-        self._r_full = None if self._r_diag is not None else r
-        self._q_diag = np.diag(qm).copy() if _is_diagonal(qm) else None
-        self._q_full = None if self._q_diag is not None else qm
+        self._r_col = np.diag(r)[:, None].copy() if _is_diagonal(r) else None
+        self._r_full = None if self._r_col is not None else r
+        self._q_full = None if _is_diagonal(qm) else qm
+        # Row sums taken by the one vecdot: [dq^2 . q_diag, cos . L, sin . L],
+        # or only the last two when q_jmc is a full matrix.
+        self._sum_from = 0 if self._q_full is None else 1
+        self._sum_weights = np.stack([np.diag(qm), lengths, lengths])[
+            self._sum_from :, None, :
+        ]
+        self._work: dict[int, tuple] = {}
 
     def __call__(self, q) -> float:
         return float(self.evaluate_many(np.asarray(q, dtype=float)[None, :])[0])
+
+    def _buffers(self, m: int) -> tuple:
+        # ang (m, n); w (3, m, n) = [dq, cos, sin]; r (4, m) = [jjmc, x, y,
+        # theta], where x, y, theta become the pose error in place and r[1]
+        # then holds jee; terms (3, m) for the weighted squared errors.
+        n = self._q0.size
+        ang, w = np.empty((m, n)), np.empty((3, m, n))
+        r, terms = np.empty((4, m)), np.empty((3, m))
+        if len(self._work) >= 8:  # callers use one to three row counts
+            self._work.clear()
+        self._work[m] = work = (
+            ang, w[0], w[1], w[2], w[self._sum_from :], r[self._sum_from : 3],
+            r[0], r[1], r[3], r[1:], r[:2], terms,
+        )
+        return work
 
     def evaluate_many(self, configs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Loss for each row of ``configs`` (shape (m, n)); counts m calls.
@@ -155,31 +178,39 @@ class LossEvaluator:
         Every row goes through the same arithmetic whatever ``m`` is: the
         row sums use ``np.vecdot``, whose per-row reduction does not depend
         on the row count (a BLAS matrix-vector product does). The result is
-        written to ``out`` when given.
+        written to ``out`` when given, else to a new array.
         """
-        self.calls += configs.shape[0]
-        # The ufuncs are called directly: cumsum and sum are add.accumulate
-        # and add.reduce behind a slower method dispatch.
-        angles = np.add.accumulate(configs, 1)
-        angles *= _DEG2RAD
-        ex = self._tx - np.vecdot(np.cos(angles), self._lengths)
-        ey = self._ty - np.vecdot(np.sin(angles), self._lengths)
+        m = configs.shape[0]
+        self.calls += m
+        work = self._work.get(m) or self._buffers(m)
+        ang, dq, cos, sin, stacked, sums, jjmc, jee, theta, err, blend, terms = work
+        # Ufuncs are called directly, outputs passed by position: cumsum,
+        # sum and the in-place operators are slower routes to the same loops.
+        np.add.accumulate(configs, 1, None, ang)
+        np.multiply(ang, _DEG2RAD, ang)
+        np.cos(ang, cos)
+        np.sin(ang, sin)
+        np.subtract(configs, self._q0, dq)
+        if self._q_full is None:
+            np.multiply(dq, dq, dq)
+        else:
+            np.einsum("ij,jk,ik->i", dq, self._q_full, dq, out=jjmc)
+        np.vecdot(stacked, self._sum_weights, sums)
+        np.add.reduce(configs, 1, None, theta)
         # A tiny negative total has remainder 360.0 after rounding; the
         # second remainder maps it to 0 and leaves [0, 360) unchanged.
-        theta = np.remainder(np.remainder(np.add.reduce(configs, 1), 360.0), 360.0)
-        et = self._ttheta - theta
-        if self._r_diag is not None:
-            r0, r1, r2 = self._r_diag
-            jee = r0 * ex * ex + r1 * ey * ey + r2 * et * et
+        np.remainder(theta, 360.0, theta)
+        np.remainder(theta, 360.0, theta)
+        np.subtract(self._target, err, err)
+        if self._r_col is not None:
+            np.multiply(self._r_col, err, terms)
+            np.multiply(terms, err, terms)
+            np.add.reduce(terms, 0, None, jee)
         else:
-            eps = np.stack([ex, ey, et], axis=1)
-            jee = np.einsum("ij,jk,ik->i", eps, self._r_full, eps)
-        dq = configs - self._q0
-        if self._q_diag is not None:
-            jjmc = np.vecdot(dq * dq, self._q_diag)
-        else:
-            jjmc = np.einsum("ij,jk,ik->i", dq, self._q_full, dq)
-        return np.add(self._wj * jjmc, self._we * jee, out=out)
+            eps = err.T.copy()
+            np.einsum("ij,jk,ik->i", eps, self._r_full, eps, out=jee)
+        np.multiply(blend, self._weights, blend)
+        return np.add.reduce(blend, 0, None, out)
 
 
 def _is_diagonal(m: np.ndarray) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -7,10 +8,15 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import nlspsa_ik
 from nlspsa_ik.artifacts import read_compare_csv, read_sweep_csv, read_trace_csv
 from nlspsa_ik import cli
 from nlspsa_ik.cli import _worker_count, main
 from nlspsa_ik.errors import SolverFault
+from nlspsa_ik.kinematics import ChainModel, Pose
+from nlspsa_ik.objective import ObjectiveSpec, combined_loss, default_r_ee
+from nlspsa_ik.optimizer import SolverParams, solve
+from nlspsa_ik.scenarios import Scenario, builtin, save_scenario
 from nlspsa_ik.svgplot import convergence_svg, posture_svg
 
 
@@ -87,6 +93,28 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("run")  # --scenario missing
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_stop_loss_without_trace_every_is_a_usage_error(command, tmp_path, capsys):
+    code = run_cli(
+        command, "--scenario", "1.1", "--seeds", "1", "--n-max", "20",
+        "--stop-loss", "0.05", "--out", tmp_path,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--stop-loss" in err and "--trace-every" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_stop_loss_with_trace_every_runs(command, tmp_path):
+    code = run_cli(
+        command, "--scenario", "1.1", "--seeds", "1", "--n-max", "60",
+        "--stop-loss", "0.05", "--trace-every", "5", "--out", tmp_path,
+        *(["--population", "10"] if command == "compare" else []),
+    )
+    assert code == 0
 
 
 class TestSweepCommand:
@@ -271,6 +299,14 @@ class TestPlotCommand:
         assert run_cli("plot", "--run", tmp_path / "nope.json") == 4
         assert "i/o error" in capsys.readouterr().err
 
+    def test_malformed_joint_limits_exit_code(self, tmp_path, capsys):
+        result = self._make_run(tmp_path)
+        doc = json.loads(result.read_text())
+        doc["joint_limits"] = [[0.0], [1.0]]
+        result.write_text(json.dumps(doc))
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        assert "i/o error" in capsys.readouterr().err
+
     def test_corrupt_artifact_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -316,3 +352,68 @@ class TestSvgRendering:
     def test_convergence_rejects_empty(self):
         with pytest.raises(ValueError):
             convergence_svg(np.array([]), np.array([]))
+
+
+def _limited_scenario_file(tmp_path):
+    """1.1 with a full r_ee and joint limits 1 degree either side of q0,
+    tight enough to clip within 300 iterations."""
+    base = builtin("1.1")
+    r_ee = default_r_ee()
+    r_ee[0, 1] = r_ee[1, 0] = 0.01
+    spec = dataclasses.replace(base.spec, r_ee=r_ee)
+    q0 = spec.reference
+    chain = ChainModel(base.chain.link_lengths, joint_limits=(q0 - 1.0, q0 + 1.0))
+    scenario = Scenario(
+        id="limited",
+        chain=chain,
+        spec=spec,
+        expected_initial_pose=base.expected_initial_pose,
+        expected_initial_loss=combined_loss(spec, chain, q0),
+    )
+    path = tmp_path / "limited.json"
+    save_scenario(scenario, path)
+    return path
+
+
+def test_run_json_alone_reproduces_the_run(tmp_path):
+    code = run_cli(
+        "run", "--scenario", _limited_scenario_file(tmp_path), "--seed", "3",
+        "--n-max", "300", "--w-jmc", "2.0", "--out", tmp_path,
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "run_limited_seed3.json").read_text())
+    assert doc["versions"] == {"nlspsa_ik": nlspsa_ik.__version__, "numpy": np.__version__}
+    limits = doc["joint_limits"]
+    chain = ChainModel(
+        tuple(doc["link_lengths"]), joint_limits=(limits["q_min"], limits["q_max"])
+    )
+    p = doc["params"]
+    spec = ObjectiveSpec(
+        target=Pose(**doc["target"]),
+        reference=np.array(doc["q0_deg"]),
+        r_ee=np.array(doc["r_ee"]),
+        q_jmc=np.array(doc["q_jmc"]),
+        w_jmc=p["w_jmc"],
+        w_ee=p["w_ee"],
+    )
+    params = SolverParams(
+        seed=doc["seed"],
+        variant=doc["variant"],
+        **{k: p[k] for k in ("a", "A", "c", "alpha", "gamma", "d", "n_max",
+                             "trace_every", "stop_loss")},
+    )
+    record = solve(spec, chain, params)
+    assert record.final_iterate.tolist() == doc["final_q_deg"]
+    # the limits were active, so dropping them would not reproduce the run
+    unlimited = solve(spec, ChainModel(chain.link_lengths), params)
+    assert unlimited.final_iterate.tolist() != doc["final_q_deg"]
+
+
+def test_run_json_records_null_limits_and_plot_reads_them(tmp_path):
+    assert run_cli("run", "--scenario", "1.1", "--n-max", "30", "--out", tmp_path) == 0
+    doc = json.loads((tmp_path / "run_1.1_seed0.json").read_text())
+    assert doc["joint_limits"] is None
+    limited = _limited_scenario_file(tmp_path)
+    assert run_cli("run", "--scenario", limited, "--n-max", "30", "--out", tmp_path) == 0
+    for stem in ("run_1.1_seed0", "run_limited_seed0"):
+        assert run_cli("plot", "--run", tmp_path / f"{stem}.json", "--out", tmp_path) == 0

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nlspsa_ik import objective
 from nlspsa_ik.kinematics import ChainModel, Pose, forward_kinematics
 from nlspsa_ik.objective import (
     LossEvaluator,
@@ -13,6 +15,7 @@ from nlspsa_ik.objective import (
     end_effector_cost,
     joint_motion_cost,
 )
+from nlspsa_ik.scenarios import builtin, builtin_ids
 
 DEG2RAD2 = (2 * math.pi / 360) ** 2
 
@@ -228,3 +231,165 @@ class TestLossEvaluator:
     def test_rejects_chain_mismatch(self):
         with pytest.raises(ValueError):
             LossEvaluator(bent_eight_spec(), ChainModel.unit_links(20))
+
+
+def frozen_evaluate_many(spec, chain, configs):
+    """The batched loss expression before its work buffers were stacked and
+    reused, kept verbatim as a bit-identity oracle for LossEvaluator."""
+    lengths = np.asarray(chain.link_lengths)
+    q0 = np.asarray(spec.reference)
+    r, qm = spec.r_ee, spec.q_jmc
+    r_diag = np.count_nonzero(r - np.diag(np.diag(r))) == 0
+    q_diag = np.count_nonzero(qm - np.diag(np.diag(qm))) == 0
+    angles = np.add.accumulate(configs, 1)
+    angles *= np.float64(math.pi / 180.0)
+    ex = spec.target.x - np.vecdot(np.cos(angles), lengths)
+    ey = spec.target.y - np.vecdot(np.sin(angles), lengths)
+    theta = np.remainder(np.remainder(np.add.reduce(configs, 1), 360.0), 360.0)
+    et = spec.target.theta_deg - theta
+    if r_diag:
+        r0, r1, r2 = (float(v) for v in np.diag(r))
+        jee = r0 * ex * ex + r1 * ey * ey + r2 * et * et
+    else:
+        eps = np.stack([ex, ey, et], axis=1)
+        jee = np.einsum("ij,jk,ik->i", eps, r, eps)
+    dq = configs - q0
+    if q_diag:
+        jjmc = np.vecdot(dq * dq, np.diag(qm).copy())
+    else:
+        jjmc = np.einsum("ij,jk,ik->i", dq, qm, dq)
+    return np.add(spec.w_jmc_norm * jjmc, spec.w_ee_norm * jee)
+
+
+def _spd(rng, dim):
+    k = rng.normal(size=(dim, dim))
+    return k @ k.T + dim * np.eye(dim)
+
+
+def _oracle_rows(spec, seed):
+    """Edge rows first (joint sums of -1e-14 and exactly 360, NaN, +inf,
+    -inf), then random configurations around the reference."""
+    n = spec.n
+    edges = np.zeros((5, n))
+    edges[0, 0] = -1e-14
+    edges[1, :4] = 90.0
+    edges[2, n // 2] = np.nan
+    edges[3, 1] = np.inf
+    edges[4, -1] = -np.inf
+    rng = np.random.default_rng(seed)
+    random = spec.reference + rng.uniform(-180.0, 180.0, size=(100, n))
+    return np.concatenate([edges, random])
+
+
+def _full_matrix_cases():
+    rng = np.random.default_rng(11)
+    r_full, q_full = _spd(rng, 3), _spd(rng, 8)
+    return {
+        "full r_ee and q_jmc": dataclasses.replace(
+            bent_eight_spec(q_jmc=q_full), r_ee=r_full
+        ),
+        "full r_ee": dataclasses.replace(bent_eight_spec(), r_ee=r_full),
+        "full q_jmc": bent_eight_spec(q_jmc=q_full),
+    }
+
+
+ORACLE_CASES = [(sid, builtin(sid).spec, builtin(sid).chain) for sid in builtin_ids()] + [
+    (name, spec, CHAIN8) for name, spec in _full_matrix_cases().items()
+]
+
+
+class TestLossEvaluatorBitIdentity:
+    @pytest.mark.parametrize(
+        "spec,chain", [case[1:] for case in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
+    )
+    def test_matches_frozen_expression_at_every_row_count(self, spec, chain):
+        rows = _oracle_rows(spec, seed=spec.n)
+        evaluator = LossEvaluator(spec, chain)
+        with np.errstate(all="ignore"):
+            for m in (1, 2, 3, 20, 100):
+                for lo in range(0, len(rows), m):
+                    chunk = rows[lo : lo + m]
+                    got = evaluator.evaluate_many(chunk)
+                    want = frozen_evaluate_many(spec, chain, chunk)
+                    assert np.array_equal(got, want, equal_nan=True), (m, lo)
+
+    def test_edge_rows_keep_their_meaning(self):
+        spec = bent_eight_spec()
+        edges = _oracle_rows(spec, 0)[:5]
+        with np.errstate(all="ignore"):
+            values = LossEvaluator(spec, CHAIN8).evaluate_many(edges)
+        # joint sums of -1e-14 and 360 are orientation 0; NaN/inf propagate
+        for row, value in zip(edges[:2], values):
+            assert value == pytest.approx(combined_loss(spec, CHAIN8, row), rel=1e-12)
+        assert np.isnan(values[2:]).all()
+
+
+class TestLossEvaluatorBuffers:
+    def test_result_without_out_is_not_overwritten(self):
+        spec = bent_eight_spec()
+        evaluator = LossEvaluator(spec, CHAIN8)
+        rng = np.random.default_rng(12)
+        first = evaluator.evaluate_many(rng.uniform(-90, 90, size=(5, 8)))
+        kept = first.copy()
+        second = evaluator.evaluate_many(rng.uniform(-90, 90, size=(5, 8)))
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
+    def test_interleaved_row_counts_match_fresh_evaluators(self):
+        spec = builtin("2.1").spec
+        chain = builtin("2.1").chain
+        shared = LossEvaluator(spec, chain)
+        rng = np.random.default_rng(13)
+        for m in (1, 100, 1, 37):
+            batch = spec.reference + rng.uniform(-45, 45, size=(m, spec.n))
+            got = shared.evaluate_many(batch)
+            assert np.array_equal(got, LossEvaluator(spec, chain).evaluate_many(batch))
+        assert shared.calls == 139
+
+    def test_out_is_returned(self):
+        spec = bent_eight_spec()
+        out = np.empty(4)
+        evaluator = LossEvaluator(spec, CHAIN8)
+        configs = np.tile(spec.reference, (4, 1))
+        assert evaluator.evaluate_many(configs, out=out) is out
+        assert np.array_equal(out, np.full(4, combined_loss(spec, CHAIN8, spec.reference)))
+        assert evaluator.calls == 4
+
+
+class _CountingNumpy:
+    """Stands in for the ``np`` module of nlspsa_ik.objective and counts
+    every ufunc, ufunc method and einsum call made through it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc) or name == "einsum":
+            return _Counted(self, attr)
+        return attr
+
+
+class _Counted:
+    def __init__(self, counter, fn):
+        self._counter, self._fn = counter, fn
+
+    def __call__(self, *args, **kwargs):
+        self._counter.calls += 1
+        return self._fn(*args, **kwargs)
+
+    def __getattr__(self, name):  # ufunc methods: reduce, accumulate
+        return _Counted(self._counter, getattr(self._fn, name))
+
+
+@pytest.mark.parametrize("m", [1, 20])
+def test_diagonal_loss_makes_at_most_sixteen_numpy_calls(monkeypatch, m):
+    scenario = builtin("1.1")
+    evaluator = LossEvaluator(scenario.spec, scenario.chain)
+    configs = np.tile(scenario.spec.reference, (m, 1))
+    expected = evaluator.evaluate_many(configs)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(objective, "np", counting)
+    got = evaluator.evaluate_many(configs)
+    assert np.array_equal(got, expected)
+    assert 0 < counting.calls <= 16
