@@ -79,21 +79,26 @@ def pso_solve(spec: ObjectiveSpec, chain: ChainModel, params: PsoParams) -> RunR
     gbest_loss = float(pbest_loss[champion])
     trace = [gbest_loss]
 
+    # One draw fills both random matrices from the same stream as two draws.
+    randoms = np.empty((2, pop, n))
+    r_cog, r_soc = randoms
+    pull = np.empty((pop, n))
     generation = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while evals < params.eval_budget:
             generation += 1
             m = min(pop, params.eval_budget - evals)
-            r_cog = rng.random(size=(pop, n))
-            r_soc = rng.random(size=(pop, n))
-            velocities = (
-                params.inertia * velocities
-                + params.cognitive * r_cog * (pbest_pos - positions)
-                + params.social * r_soc * (gbest_pos - positions)
-            )
+            rng.random(out=randoms)
+            # v = w*v + (c1*r_cog)*(pbest - x) + (c2*r_soc)*(gbest - x), in
+            # place and in that order
+            velocities *= params.inertia
+            r_cog *= params.cognitive
+            velocities += np.multiply(r_cog, np.subtract(pbest_pos, positions, pull), pull)
+            r_soc *= params.social
+            velocities += np.multiply(r_soc, np.subtract(gbest_pos, positions, pull), pull)
             if spread > 0:
                 np.clip(velocities, -spread, spread, out=velocities)
-            positions = positions + velocities
+            positions += velocities
             losses = evaluator.evaluate_many(positions[:m])
             evals += m
             if not np.isfinite(losses).all():
@@ -101,8 +106,8 @@ def pso_solve(spec: ObjectiveSpec, chain: ChainModel, params: PsoParams) -> RunR
                     f"non-finite loss in generation {generation}", iteration=generation
                 )
             improved = losses < pbest_loss[:m]
-            pbest_pos[:m][improved] = positions[:m][improved]
-            pbest_loss[:m][improved] = losses[improved]
+            np.copyto(pbest_pos[:m], positions[:m], where=improved[:, None])
+            np.copyto(pbest_loss[:m], losses, where=improved)
             champion = int(np.argmin(pbest_loss))
             if pbest_loss[champion] < gbest_loss:
                 gbest_loss = float(pbest_loss[champion])

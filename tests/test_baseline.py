@@ -6,7 +6,7 @@ import pytest
 from nlspsa_ik.baseline import PsoParams, pso_solve
 from nlspsa_ik.kinematics import ChainModel, Pose
 from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec
-from nlspsa_ik.scenarios import builtin
+from nlspsa_ik.scenarios import builtin, builtin_ids
 
 DEG2RAD2 = (2 * math.pi / 360) ** 2
 
@@ -102,3 +102,72 @@ class TestPsoSolve:
 
         pose = forward_kinematics(scenario.chain, rec.final_iterate)
         assert rec.final_pose == pose
+
+
+def frozen_pso_generations(spec, chain, params):
+    """The generation loop of pso_solve before it reused its buffers, kept
+    verbatim as a bit-identity oracle. Returns the global best, the trace of
+    global bests and the number of evaluations."""
+    evaluator = LossEvaluator(spec, chain)
+    rng = np.random.default_rng(params.seed)
+    pop = params.population
+    n = chain.n
+    spread = params.init_spread
+
+    positions = spec.reference + rng.uniform(-spread, spread, size=(pop, n))
+    velocities = np.zeros((pop, n))
+    losses = evaluator.evaluate_many(positions)
+    evals = pop
+    pbest_pos = positions.copy()
+    pbest_loss = losses.copy()
+    champion = int(np.argmin(pbest_loss))
+    gbest_pos = pbest_pos[champion].copy()
+    gbest_loss = float(pbest_loss[champion])
+    trace = [gbest_loss]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        while evals < params.eval_budget:
+            m = min(pop, params.eval_budget - evals)
+            r_cog = rng.random(size=(pop, n))
+            r_soc = rng.random(size=(pop, n))
+            velocities = (
+                params.inertia * velocities
+                + params.cognitive * r_cog * (pbest_pos - positions)
+                + params.social * r_soc * (gbest_pos - positions)
+            )
+            if spread > 0:
+                np.clip(velocities, -spread, spread, out=velocities)
+            positions = positions + velocities
+            losses = evaluator.evaluate_many(positions[:m])
+            evals += m
+            improved = losses < pbest_loss[:m]
+            pbest_pos[:m][improved] = positions[:m][improved]
+            pbest_loss[:m][improved] = losses[improved]
+            champion = int(np.argmin(pbest_loss))
+            if pbest_loss[champion] < gbest_loss:
+                gbest_loss = float(pbest_loss[champion])
+                gbest_pos = pbest_pos[champion].copy()
+            trace.append(gbest_loss)
+    return gbest_pos, np.asarray(trace), evals
+
+
+PSO_SETTINGS = {
+    "default": {},
+    "truncated last generation": {"eval_budget": 1050},
+    "no initial spread": {"init_spread": 0.0},
+    # 500 generations, the last of them one row (the evaluator's one-row path)
+    "population 7": {"population": 7, "eval_budget": 7 * 500 + 1},
+}
+
+
+@pytest.mark.parametrize("setting", PSO_SETTINGS)
+@pytest.mark.parametrize("scenario_id", builtin_ids())
+def test_generation_step_matches_frozen_loop(scenario_id, setting):
+    scenario = builtin(scenario_id)
+    for seed in (0, 1, 2):
+        params = PsoParams(seed=seed, **PSO_SETTINGS[setting])
+        rec = pso_solve(scenario.spec, scenario.chain, params)
+        final, trace, evals = frozen_pso_generations(scenario.spec, scenario.chain, params)
+        assert np.array_equal(rec.final_iterate, final)
+        assert np.array_equal(rec.loss_trace, trace)
+        assert rec.evaluations == evals == params.eval_budget

@@ -335,3 +335,19 @@ def test_seed_alone_matches_its_row_in_a_batch(scenario_id):
     for seed in range(20):
         alone = solve_many(scenario.spec, scenario.chain, params, [seed])[0]
         assert_same_outcome(batch[seed], alone)
+
+
+@pytest.mark.parametrize("scenario_id", ["1.1", "1.7", "2.1"])
+def test_seed_alone_matches_its_batch_row_over_a_full_trace(scenario_id):
+    # Long enough that most steps no longer saturate at d, so a rounding
+    # difference between the one-row and the batched loss would show.
+    scenario = builtin(scenario_id)
+    params = SolverParams(n_max=1500, trace_every=1)
+    batch = solve_many(scenario.spec, scenario.chain, params, range(20))
+    for seed in (0, 7, 19):
+        alone = solve_many(scenario.spec, scenario.chain, params, [seed])[0]
+        row = batch[seed]
+        assert np.array_equal(alone.final_iterate, row.final_iterate)
+        assert np.array_equal(alone.loss_trace, row.loss_trace)
+        assert alone.best_loss == row.best_loss
+        assert alone.max_step_inf == row.max_step_inf

@@ -313,6 +313,21 @@ class TestLossEvaluatorBitIdentity:
                     want = frozen_evaluate_many(spec, chain, chunk)
                     assert np.array_equal(got, want, equal_nan=True), (m, lo)
 
+    @pytest.mark.parametrize(
+        "spec,chain", [case[1:] for case in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
+    )
+    def test_row_alone_equals_its_row_in_a_batch(self, spec, chain):
+        # A one-row call with diagonal r_ee finishes on Python floats; every
+        # batch size must still give each row the same value.
+        rows = _oracle_rows(spec, seed=spec.n)
+        evaluator = LossEvaluator(spec, chain)
+        with np.errstate(all="ignore"):
+            alone = np.concatenate([evaluator.evaluate_many(row[None]) for row in rows])
+            for m in (2, 20, 100):
+                for lo in range(0, len(rows), m):
+                    got = evaluator.evaluate_many(rows[lo : lo + m])
+                    assert np.array_equal(got, alone[lo : lo + m], equal_nan=True), (m, lo)
+
     def test_edge_rows_keep_their_meaning(self):
         spec = bent_eight_spec()
         edges = _oracle_rows(spec, 0)[:5]
@@ -392,4 +407,36 @@ def test_diagonal_loss_makes_at_most_sixteen_numpy_calls(monkeypatch, m):
     monkeypatch.setattr(objective, "np", counting)
     got = evaluator.evaluate_many(configs)
     assert np.array_equal(got, expected)
+    assert 0 < counting.calls <= 16
+
+
+@pytest.mark.parametrize("case", ["1.1", "full q_jmc"])
+def test_one_row_loss_makes_at_most_eight_numpy_calls(monkeypatch, case):
+    if case == "full q_jmc":
+        spec, chain = _full_matrix_cases()[case], CHAIN8
+    else:
+        spec, chain = builtin(case).spec, builtin(case).chain
+    evaluator = LossEvaluator(spec, chain)
+    row = spec.reference[None, :] + 1.5
+    expected = frozen_evaluate_many(spec, chain, row)
+    out = np.empty(1)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(objective, "np", counting)
+    assert np.array_equal(evaluator.evaluate_many(row), expected)
+    assert 0 < counting.calls <= 8
+    counting.calls = 0
+    assert evaluator.evaluate_many(row, out=out) is out
+    assert np.array_equal(out, expected)
+    assert 0 < counting.calls <= 8
+
+
+@pytest.mark.parametrize("case", ["full r_ee", "full r_ee and q_jmc"])
+def test_one_row_full_r_ee_keeps_the_array_path(monkeypatch, case):
+    spec = _full_matrix_cases()[case]
+    evaluator = LossEvaluator(spec, CHAIN8)
+    row = spec.reference[None, :] + 1.5
+    expected = frozen_evaluate_many(spec, CHAIN8, row)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(objective, "np", counting)
+    assert np.array_equal(evaluator.evaluate_many(row), expected)
     assert 0 < counting.calls <= 16
