@@ -82,9 +82,12 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
 class SweepReport:
     """Per-seed results of one scenario swept over a seed range.
 
-    All statistics are recomputed from the stored per-seed values on access;
-    failed seeds carry NaN entries and a fault message and are excluded from
-    the statistics.
+    All statistics except ``total_wall_ms`` are recomputed from the stored
+    per-seed values on access; failed seeds carry NaN entries and a fault
+    message and are excluded from the statistics. A seed's ``wall_ms`` is
+    its ``RunRecord.elapsed``: the wall time of the batch it ran in divided
+    by the seeds in that batch. ``total_wall_ms`` is the sweep's measured
+    wall time, faulted seeds included, or None when none was given.
     """
 
     scenario_id: str
@@ -95,10 +98,12 @@ class SweepReport:
     displacements: np.ndarray  # (n_seeds, n_joints), |q_final - q0| per joint
     wall_ms: np.ndarray
     faults: list[str | None]
+    total_wall_ms: float | None = None
 
     @classmethod
     def from_outcomes(
-        cls, scenario_id: str, spec: ObjectiveSpec, seeds, outcomes
+        cls, scenario_id: str, spec: ObjectiveSpec, seeds, outcomes,
+        *, total_wall_ms: float | None = None,
     ) -> "SweepReport":
         """Build from per-seed ``solve``/``pso_solve`` outcomes.
 
@@ -136,12 +141,17 @@ class SweepReport:
             displacements=displacements,
             wall_ms=wall_ms,
             faults=faults,
+            total_wall_ms=total_wall_ms,
         )
 
     def stats(self) -> dict:
         ok = ~np.isnan(self.final_losses)
         if not ok.any():
-            return {"completed": 0, "failed": len(self.seeds)}
+            return {
+                "completed": 0,
+                "failed": len(self.seeds),
+                "total_wall_ms": self.total_wall_ms,
+            }
         return {
             "completed": int(ok.sum()),
             "failed": int(len(self.seeds) - ok.sum()),
@@ -154,7 +164,7 @@ class SweepReport:
                 float(v) for v in np.median(self.displacements[ok], axis=0)
             ],
             "median_wall_ms": float(np.median(self.wall_ms[ok])),
-            "total_wall_ms": float(self.wall_ms[ok].sum()),
+            "total_wall_ms": self.total_wall_ms,
         }
 
     def to_doc(self) -> dict:

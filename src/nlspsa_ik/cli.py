@@ -10,8 +10,8 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,11 @@ EXIT_USAGE = 2
 EXIT_SCENARIO = 3
 EXIT_IO = 4
 EXIT_FAULT = 5
+
+# The process pool and multiprocessing, which it imports, cost every command
+# start-up time and memory, so the first sweep that runs more than one worker
+# loads them (see _sweep_outcomes).
+ProcessPoolExecutor = None
 
 _SOLVER_FIELDS = (
     "a", "A", "c", "alpha", "gamma", "d", "n_max", "variant",
@@ -118,9 +123,12 @@ def _worker_count(jobs: int, n_seeds: int) -> int:
 
 
 def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
+    global ProcessPoolExecutor
     jobs = _worker_count(jobs, len(seeds))
     if jobs == 1:
         return solve_many(spec, chain, params, seeds, return_faults=True)
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     chunks = [c.tolist() for c in np.array_split(np.asarray(seeds), jobs)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [
@@ -149,12 +157,16 @@ def cmd_sweep(args) -> int:
     spec = _effective_spec(scenario, args)
     params = _solver_params(args, seed=0)
     seeds = list(range(args.seeds))
+    started = time.perf_counter()
     outcomes = _sweep_outcomes(
         spec, scenario.chain,
         dataclasses.replace(params, trace_every=args.trace_every or params.n_max),
         seeds, args.jobs,
     )
-    report = SweepReport.from_outcomes(scenario.id, spec, seeds, outcomes)
+    total_wall_ms = (time.perf_counter() - started) * 1e3
+    report = SweepReport.from_outcomes(
+        scenario.id, spec, seeds, outcomes, total_wall_ms=total_wall_ms
+    )
     out = _outdir(args)
     stem = f"sweep_{_safe_name(scenario.id)}"
     write_sweep_csv(out / f"{stem}.csv", report)

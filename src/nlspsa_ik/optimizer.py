@@ -86,7 +86,9 @@ class RunRecord:
     per iteration); the ``trace_evaluations`` bookkeeping measurements are
     counted separately. ``loss_trace[i]`` is the loss after
     ``trace_iterations[i]`` updates, starting from 0 (the initial value) and
-    always ending at the final iterate.
+    always ending at the final iterate. ``elapsed`` is the wall time, in
+    seconds, of the batch the seed ran in divided by the seeds in that batch;
+    a single-seed solve reports its own wall time.
     """
 
     final_iterate: np.ndarray

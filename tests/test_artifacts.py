@@ -91,6 +91,19 @@ class TestSweepReport:
         assert doc["per_seed"][1]["fault"] == "boom"
         assert doc["per_seed"][1]["final_loss"] is None
 
+    def test_total_wall_ms_is_given_not_summed(self, short_run):
+        s, rec = short_run
+        outcomes = [rec, SolverFault("x")]
+        assert build_report(s, outcomes, [0, 1]).stats()["total_wall_ms"] is None
+        report = SweepReport.from_outcomes(
+            s.id, s.spec, [0, 1], outcomes, total_wall_ms=12.5
+        )
+        assert report.to_doc()["stats"]["total_wall_ms"] == 12.5
+        faulted = SweepReport.from_outcomes(
+            s.id, s.spec, [0], [SolverFault("x")], total_wall_ms=3.0
+        )
+        assert faulted.stats() == {"completed": 0, "failed": 1, "total_wall_ms": 3.0}
+
     def test_csv_round_trip_with_nan(self, short_run, tmp_path):
         s, rec = short_run
         report = build_report(s, [rec, SolverFault("x")], [0, 1])

@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+import time
 import warnings
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,52 @@ class TestSweepCommand:
         assert sizes == [2]
         assert len(read_sweep_csv(tmp_path / "sweep_1.1.csv")["seeds"]) == 3
 
+    def test_two_process_sweep_matches_one_process(self, tmp_path, monkeypatch):
+        # A real pool of two workers, loaded on first use: each worker's seeds
+        # give the same results as in the one-process batch.
+        from concurrent.futures import ProcessPoolExecutor
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        per_seed = {}
+        for jobs in (2, 1):
+            out = tmp_path / f"jobs{jobs}"
+            code = run_cli(
+                "sweep", "--scenario", "1.1", "--seeds", "4", "--n-max", "50",
+                "--jobs", jobs, "--out", out,
+            )
+            assert code == 0
+            per_seed[jobs] = json.loads((out / "sweep_1.1.json").read_text())["per_seed"]
+        assert cli.ProcessPoolExecutor is ProcessPoolExecutor
+        assert [s["seed"] for s in per_seed[2]] == [0, 1, 2, 3]
+        for two, one in zip(per_seed[2], per_seed[1], strict=True):
+            assert two["final_loss"] == one["final_loss"]
+            assert two["dq"] == one["dq"]
+
+    def test_total_wall_ms_is_measured_wall_time(self, tmp_path, monkeypatch):
+        # Per-seed times share out a batch's time; the total is measured and
+        # also covers faulted seeds.
+        scenario = builtin("1.1")
+        record = dataclasses.replace(
+            solve(scenario.spec, scenario.chain, SolverParams(n_max=20)),
+            elapsed=0.0,
+        )
+
+        def slow_solve_many(spec, chain, params, seeds, return_faults=False):
+            time.sleep(0.05)
+            return [record, SolverFault("non-finite loss at iteration 1", iteration=1)]
+
+        monkeypatch.setattr(cli, "solve_many", slow_solve_many)
+        code = run_cli(
+            "sweep", "--scenario", "1.1", "--seeds", "2", "--n-max", "20",
+            "--out", tmp_path,
+        )
+        assert code == 0
+        stats = json.loads((tmp_path / "sweep_1.1.json").read_text())["stats"]
+        assert (stats["completed"], stats["failed"]) == (1, 1)
+        assert stats["median_wall_ms"] == 0.0
+        assert stats["total_wall_ms"] >= 50
+
     def test_all_faulted_marked(self, tmp_path, capsys):
         code = run_cli(
             "sweep", "--scenario", "1.1", "--seeds", "2", "--n-max", "60",
@@ -417,3 +467,23 @@ def test_run_json_records_null_limits_and_plot_reads_them(tmp_path):
     assert run_cli("run", "--scenario", limited, "--n-max", "30", "--out", tmp_path) == 0
     for stem in ("run_1.1_seed0", "run_limited_seed0"):
         assert run_cli("plot", "--run", tmp_path / f"{stem}.json", "--out", tmp_path) == 0
+
+
+def test_run_loads_no_process_pool(tmp_path):
+    # Only a sweep with more than one worker needs the process pool, and
+    # importing it costs every command start-up time and memory.
+    code = (
+        "import sys\n"
+        "from nlspsa_ik.cli import main\n"
+        "assert main(['run', '--scenario', '1.1', '--n-max', '5', "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlspsa_ik.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
