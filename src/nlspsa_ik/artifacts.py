@@ -24,6 +24,19 @@ from .optimizer import RunRecord, SolverParams
 _TRACE_CHUNK = 4096
 
 
+def _median(values, axis=None):
+    """``np.median`` of NaN-free, non-empty ``values``, bit for bit.
+
+    The middle of the sorted values, or the mean of the middle two computed
+    as ``np.median`` computes it: ``(s[h - 1] + s[h]) / 2``. ``np.median``
+    itself checks for masked arrays, which imports ``numpy.ma`` (about 1 MB
+    of memory) into every command that reports a median.
+    """
+    s = np.sort(values, axis=axis)
+    h = s.shape[0] // 2
+    return s[h] if s.shape[0] % 2 else (s[h - 1] + s[h]) / 2
+
+
 def _fmt_cell(v) -> str:
     if isinstance(v, str):
         return v
@@ -155,15 +168,15 @@ class SweepReport:
         return {
             "completed": int(ok.sum()),
             "failed": int(len(self.seeds) - ok.sum()),
-            "median_final_loss": float(np.median(self.final_losses[ok])),
+            "median_final_loss": float(_median(self.final_losses[ok])),
             "min_final_loss": float(self.final_losses[ok].min()),
             "max_final_loss": float(self.final_losses[ok].max()),
-            "median_pos_error": float(np.median(self.pos_errors[ok])),
-            "median_theta_error": float(np.median(self.theta_errors[ok])),
+            "median_pos_error": float(_median(self.pos_errors[ok])),
+            "median_theta_error": float(_median(self.theta_errors[ok])),
             "median_displacement": [
-                float(v) for v in np.median(self.displacements[ok], axis=0)
+                float(v) for v in _median(self.displacements[ok], axis=0)
             ],
-            "median_wall_ms": float(np.median(self.wall_ms[ok])),
+            "median_wall_ms": float(_median(self.wall_ms[ok])),
             "total_wall_ms": self.total_wall_ms,
         }
 

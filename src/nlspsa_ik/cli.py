@@ -11,13 +11,13 @@ import dataclasses
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import (
     SweepReport,
+    _median,
     read_run_result,
     read_trace_csv,
     run_result_doc,
@@ -187,6 +187,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _finished_median(losses: np.ndarray) -> float:
+    """Median over the seeds that did not fault (NaN loss). NaN when every
+    seed faulted, so that compare names no winner."""
+    finished = losses[~np.isnan(losses)]
+    return float(_median(finished)) if finished.size else np.nan
+
+
 def cmd_compare(args) -> int:
     _require_trace_for_stop_loss(args)
     scenario = _resolve_scenario(args.scenario)
@@ -225,11 +232,8 @@ def cmd_compare(args) -> int:
     out = _outdir(args)
     stem = f"compare_{_safe_name(scenario.id)}"
     write_compare_csv(out / f"{stem}.csv", seeds, nl_losses, pso_losses)
-    with warnings.catch_warnings():
-        # a solver whose every seed faulted has a NaN median: no winner
-        warnings.simplefilter("ignore", RuntimeWarning)
-        nl_median = float(np.nanmedian(nl_losses))
-        pso_median = float(np.nanmedian(pso_losses))
+    nl_median = _finished_median(nl_losses)
+    pso_median = _finished_median(pso_losses)
     if np.isnan(nl_median) or np.isnan(pso_median):
         winner = None
     else:

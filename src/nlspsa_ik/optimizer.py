@@ -86,9 +86,11 @@ class RunRecord:
     per iteration); the ``trace_evaluations`` bookkeeping measurements are
     counted separately. ``loss_trace[i]`` is the loss after
     ``trace_iterations[i]`` updates, starting from 0 (the initial value) and
-    always ending at the final iterate. ``elapsed`` is the wall time, in
-    seconds, of the batch the seed ran in divided by the seeds in that batch;
-    a single-seed solve reports its own wall time.
+    always ending at the final iterate. From ``solve_many``, both are
+    read-only views into arrays that the records of one batch share; copy
+    them before writing. ``elapsed`` is the wall time, in seconds, of the
+    batch the seed ran in divided by the seeds in that batch; a single-seed
+    solve reports its own wall time.
     """
 
     final_iterate: np.ndarray
@@ -238,14 +240,9 @@ def solve_many(
     started = time.perf_counter()
     gens = [np.random.default_rng(s) for s in seeds]
 
-    ks = np.arange(1, n_iter + 1)
-    a_ks = params.a / (params.A + ks) ** params.alpha
-    c_ks = params.c / ks**params.gamma
-
-    trace_ks = list(range(0, n_iter + 1, params.trace_every))
+    trace_ks = np.arange(0, n_iter + 1, params.trace_every)
     if trace_ks[-1] != n_iter:
-        trace_ks.append(n_iter)
-    trace_ks = np.asarray(trace_ks)
+        trace_ks = np.append(trace_ks, n_iter)
     traces = np.full((len(trace_ks), n_seeds), np.nan)
 
     # hist[0] is the current iterate; a block's perturbations are drawn into
@@ -350,12 +347,14 @@ def solve_many(
                 deltas[:, si, :] = gen.integers(0, 2, size=(block_len, n))
             deltas *= 2.0
             deltas -= 1.0
-            block = slice(block_start, block_start + block_len)
-            a_block = a_ks[block].tolist()
-            c_block = c_ks[block].tolist()
+            # the gain schedules of this block only: elementwise, so equal to
+            # the full run's schedules bit for bit
+            ks = np.arange(block_start + 1, block_start + block_len + 1)
+            a_block = (params.a / (params.A + ks) ** params.alpha).tolist()
+            c_block = (params.c / ks**params.gamma).tolist()
             # trace_out[j] receives the loss at the iterate hist[j], if traced
             trace_out = [None] * (block_len + 1)
-            for i in range(max(slot, 1), np.searchsorted(trace_ks, block.stop, "right")):
+            for i in range(max(slot, 1), np.searchsorted(trace_ks, ks[-1], "right")):
                 trace_out[trace_ks[i] - block_start] = traces[i]
             if reached is not None:
                 reached |= ~active
@@ -394,24 +393,28 @@ def solve_many(
         final_loss[still_running] = traces[-1, still_running]
 
     elapsed = (time.perf_counter() - started) / n_seeds
+    # A record's trace is a read-only view of its prefix of the batch's
+    # trace points: no per-seed copies.
+    traces.setflags(write=False)
+    trace_ks.setflags(write=False)
+    counts = np.searchsorted(trace_ks, iterations_done, "right").tolist()
     results: list = []
-    for s in range(n_seeds):
+    for s, count in enumerate(counts):
         if faults[s] is not None:
             results.append(faults[s])
             continue
-        valid = trace_ks <= iterations_done[s]
         results.append(
             RunRecord(
                 final_iterate=final_phi[s].copy(),
                 final_pose=forward_kinematics(chain, final_phi[s]),
                 initial_loss=float(traces[0, s]),
                 final_loss=float(final_loss[s]),
-                loss_trace=traces[valid, s],
-                trace_iterations=trace_ks[valid],
+                loss_trace=traces[:count, s],
+                trace_iterations=trace_ks[:count],
                 best_iterate=best_phi[s].copy(),
                 best_loss=float(best_loss[s]),
                 evaluations=2 * int(iterations_done[s]),
-                trace_evaluations=int(np.count_nonzero(valid)),
+                trace_evaluations=count,
                 iterations=int(iterations_done[s]),
                 max_step_inf=float(max_step[s]),
                 seed=seeds[s],

@@ -6,6 +6,7 @@ import pytest
 
 from nlspsa_ik.artifacts import (
     SweepReport,
+    _median,
     read_compare_csv,
     read_run_result,
     read_sweep_csv,
@@ -163,3 +164,33 @@ class TestRunResult:
         path.write_text("{not json")
         with pytest.raises(ArtifactError, match="corrupt"):
             read_run_result(path)
+
+
+class TestMedian:
+    """``_median`` stands in for ``np.median`` on NaN-free input, so that no
+    command imports ``numpy.ma``; it must agree bit for bit."""
+
+    @staticmethod
+    def values(rng, shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        pick = rng.random(shape)
+        x[pick < 0.2] = rng.choice([0.5, -3.25, 1e-3], size=np.count_nonzero(pick < 0.2))
+        x[pick > 0.9] = np.inf
+        x[pick > 0.95] = -np.inf
+        return x
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 20, 21, 101])
+    def test_matches_np_median(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(200):
+            x = self.values(rng, size)
+            assert np.array_equal(_median(x), np.median(x), equal_nan=True)
+            finite = rng.standard_normal(size)
+            assert _median(finite) == np.median(finite)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 20])
+    def test_matches_np_median_along_axis_0(self, rows):
+        rng = np.random.default_rng(rows)
+        for _ in range(50):
+            x = self.values(rng, (rows, 8))
+            assert np.array_equal(_median(x, axis=0), np.median(x, axis=0), equal_nan=True)

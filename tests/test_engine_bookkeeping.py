@@ -5,10 +5,12 @@ bit, and check that faults keep their exact iteration and wording and that a
 seed's result does not depend on the batch it runs in.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nlspsa_ik import optimizer
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import forward_kinematics
 from nlspsa_ik.objective import LossEvaluator
@@ -351,3 +353,54 @@ def test_seed_alone_matches_its_batch_row_over_a_full_trace(scenario_id):
         assert np.array_equal(alone.loss_trace, row.loss_trace)
         assert alone.best_loss == row.best_loss
         assert alone.max_step_inf == row.max_step_inf
+
+
+def test_evaluations_are_counted_not_assumed(monkeypatch):
+    # n_max is a multiple neither of the block nor of trace_every, and no
+    # seed stops or faults, so every loss call the evaluator counts belongs
+    # to some record's evaluations or trace_evaluations.
+    evaluators = []
+
+    def capturing(spec, chain):
+        evaluators.append(LossEvaluator(spec, chain))
+        return evaluators[-1]
+
+    monkeypatch.setattr(optimizer, "LossEvaluator", capturing)
+    scenario = builtin("1.1")
+    params = SolverParams(n_max=1100, trace_every=7)
+    records = solve_many(scenario.spec, scenario.chain, params, [0, 1, 2])
+    assert all(r.iterations == params.n_max for r in records)
+    (evaluator,) = evaluators
+    assert sum(r.evaluations + r.trace_evaluations for r in records) == evaluator.calls
+    assert [r.trace_evaluations for r in records] == [len(r.loss_trace) for r in records]
+
+
+def test_trace_arrays_are_shared_read_only_views():
+    scenario = builtin("1.1")
+    params = SolverParams(n_max=600, trace_every=5)
+    first, second = solve_many(scenario.spec, scenario.chain, params, [0, 1])
+    with pytest.raises(ValueError):
+        first.loss_trace[0] = 0.0
+    with pytest.raises(ValueError):
+        first.trace_iterations[0] = 1
+    assert np.shares_memory(first.trace_iterations, second.trace_iterations)
+    assert np.array_equal(first.trace_iterations, np.arange(0, 601, 5))
+
+
+def test_default_solve_stays_under_one_megabyte():
+    # 25000 traced iterations: the trace itself is 2 x 200 kB, and neither the
+    # gain schedules nor the trace points may exist as full-run arrays or
+    # Python lists besides it.
+    scenario = builtin("1.1")
+    solve(scenario.spec, scenario.chain, SolverParams(n_max=50))  # first-use imports
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solve(scenario.spec, scenario.chain, SolverParams())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 1_000_000
