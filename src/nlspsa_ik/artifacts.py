@@ -54,13 +54,10 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _read_csv(path, expected_prefix: list[str]) -> tuple[list[str], list[list[str]]]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except OSError:
-        raise
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = list(reader)
     if header is None or header[: len(expected_prefix)] != expected_prefix:
         raise ArtifactError(
             f"{path}: expected a CSV starting with columns {expected_prefix}, "

@@ -21,10 +21,17 @@ from .objective import LossEvaluator, ObjectiveSpec
 
 VARIANTS = ("nlspsa", "spsa")
 
-# Perturbation vectors are drawn per seed in blocks of this many iterations;
-# block draws consume the PRNG stream exactly like per-iteration draws. The
-# run's bookkeeping is settled once per block, too.
-_DELTA_BLOCK = 512
+# Perturbation vectors are drawn per seed in blocks of iterations; block
+# draws consume the PRNG stream exactly like per-iteration draws, so the
+# block length cannot change a result. The run's bookkeeping is settled once
+# per block, too. Each block costs a draw per seed and a settle pass, while
+# its iterate history costs 8 bytes per iteration, seed and joint. So a
+# block holds at most _BLOCK_VALUES iterate values (512 KiB), within
+# _BLOCK_MIN.._BLOCK_MAX iterations: small batches keep the long block they
+# run fastest with, and large ones trade a few percent of time for memory.
+_BLOCK_VALUES = 1 << 16
+_BLOCK_MIN = 128
+_BLOCK_MAX = 512
 # Iterations per slice when a block's iterate history is scanned, so that the
 # scan's work buffers stay a fraction of the history buffer.
 _SCAN_ROWS = 64
@@ -201,6 +208,11 @@ def solve(spec: ObjectiveSpec, chain: ChainModel, params: SolverParams) -> RunRe
     return solve_many(spec, chain, params, [params.seed])[0]
 
 
+def _block_length(n_seeds: int, n: int) -> int:
+    """Iterations per perturbation block for a batch of this shape."""
+    return min(_BLOCK_MAX, max(_BLOCK_MIN, _BLOCK_VALUES // (n_seeds * n)))
+
+
 def solve_many(
     spec: ObjectiveSpec,
     chain: ChainModel,
@@ -248,10 +260,11 @@ def solve_many(
     # hist[0] is the current iterate; a block's perturbations are drawn into
     # hist[1:], and iteration j overwrites its perturbation hist[j + 1] with
     # the iterate it produces.
-    hist = np.empty((_DELTA_BLOCK + 1, n_seeds, n))
+    block = _block_length(n_seeds, n)
+    hist = np.empty((block + 1, n_seeds, n))
     hist[0] = spec.reference
-    loss_plus = np.empty((_DELTA_BLOCK, n_seeds))
-    loss_minus = np.empty((_DELTA_BLOCK, n_seeds))
+    loss_plus = np.empty((block, n_seeds))
+    loss_minus = np.empty((block, n_seeds))
     # row views made once, so the loop does not index the buffers
     hist_rows, plus_rows, minus_rows = list(hist), list(loss_plus), list(loss_minus)
     finite_buf = np.empty((_SCAN_ROWS, n_seeds, n), dtype=bool)
@@ -338,10 +351,10 @@ def solve_many(
         # are, the block ends at that trace point.
         reached = None if stop_loss is None else traces[0] <= stop_loss
         slot = 0  # the first trace point not yet settled
-        for block_start in range(0, n_iter, _DELTA_BLOCK):
+        for block_start in range(0, n_iter, block):
             if not active.any():
                 break
-            block_len = min(_DELTA_BLOCK, n_iter - block_start)
+            block_len = min(block, n_iter - block_start)
             deltas = hist[1 : block_len + 1]
             for si, gen in enumerate(gens):
                 deltas[:, si, :] = gen.integers(0, 2, size=(block_len, n))

@@ -5,6 +5,7 @@ bit, and check that faults keep their exact iteration and wording and that a
 seed's result does not depend on the batch it runs in.
 """
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from nlspsa_ik import optimizer
 from nlspsa_ik.errors import SolverFault
-from nlspsa_ik.kinematics import forward_kinematics
-from nlspsa_ik.objective import LossEvaluator
+from nlspsa_ik.kinematics import ChainModel, Pose, forward_kinematics
+from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
 from nlspsa_ik.optimizer import RunRecord, SolverParams, solve, solve_many
 from nlspsa_ik.scenarios import builtin, builtin_ids
 
@@ -404,3 +405,76 @@ def test_default_solve_stays_under_one_megabyte():
         if not was_tracing:
             tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def three_joint_problem():
+    """A small 3-joint chain: an odd joint count."""
+    n = 3
+    chain = ChainModel.unit_links(n)
+    spec = ObjectiveSpec(
+        target=Pose(n / 2.0, n / 4.0, 45.0),
+        reference=np.random.default_rng(0).uniform(-10, 10, n),
+        r_ee=default_r_ee(),
+        q_jmc=np.eye(n) * (2 * math.pi / 360) ** 2 / n,
+    )
+    return spec, chain
+
+
+def test_block_lengths_follow_the_batch_shape():
+    shapes = {(1, 8): 512, (20, 8): 409, (20, 20): 163, (400, 8): 128}
+    assert {s: optimizer._block_length(*s) for s in shapes} == shapes
+
+
+@pytest.mark.parametrize("case", ["stop_mid_block", "odd_joints", "nan_loss"])
+def test_block_length_does_not_change_outcomes(monkeypatch, case):
+    plan = None
+    if case == "stop_mid_block":
+        scenario = builtin("1.1")
+        spec, chain = scenario.spec, scenario.chain
+        params = SolverParams(stop_loss=0.05, trace_every=7)
+    elif case == "odd_joints":
+        # n_max is a multiple of neither block length
+        spec, chain = three_joint_problem()
+        params = SolverParams(n_max=1000, trace_every=9)
+    else:
+        scenario = builtin("1.1")
+        spec, chain = scenario.spec, scenario.chain
+        params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
+        plan = {2 * INJECT_AT: {1: np.nan}}
+
+    def run():
+        if plan is not None:
+            injecting(monkeypatch, plan)
+        return solve_many(spec, chain, params, SEEDS, return_faults=True)
+
+    assert optimizer._block_length(len(SEEDS), chain.n) == 512
+    want = run()
+    monkeypatch.setattr(optimizer, "_BLOCK_VALUES", 0)
+    assert optimizer._block_length(len(SEEDS), chain.n) == 128
+    got = run()
+    for g, w in zip(got, want, strict=True):
+        assert_same_outcome(g, w)
+    if case == "stop_mid_block":
+        assert all(g.iterations < 512 for g in got)
+    if case == "nan_loss":
+        assert got[1].iteration == INJECT_AT
+        assert str(got[1]) == f"non-finite loss at iteration {INJECT_AT} (seed 1)"
+
+
+def test_compare_shape_solve_stays_under_one_and_a_quarter_megabytes():
+    # 20 seeds of a 20-joint chain, as compare runs them: the block history
+    # is bounded by its iterate budget, not 513 iterates long.
+    scenario = builtin("2.1")
+    params = SolverParams(n_max=600, trace_every=600)
+    solve_many(scenario.spec, scenario.chain, params, range(20))  # first-use imports
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solve_many(scenario.spec, scenario.chain, params, range(20))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 1_250_000
