@@ -35,15 +35,10 @@ from .objective import (
 from .optimizer import (
     RunRecord,
     SolverParams,
-    clamp_to_limits,
-    perturbation_gain,
-    sample_perturbation,
     saturate,
     solve,
     solve_many,
     spsa_gradient,
-    step_gain,
-    take_step,
 )
 from .scenarios import Scenario, builtin, builtin_ids, load_scenario, save_scenario
 
@@ -65,7 +60,6 @@ __all__ = [
     "SolverParams",
     "builtin",
     "builtin_ids",
-    "clamp_to_limits",
     "combined_loss",
     "default_r_ee",
     "end_effector_cost",
@@ -74,15 +68,11 @@ __all__ = [
     "joint_positions",
     "load_scenario",
     "mod_floor",
-    "perturbation_gain",
     "pose_error",
     "pso_solve",
-    "sample_perturbation",
     "saturate",
     "save_scenario",
     "solve",
     "solve_many",
     "spsa_gradient",
-    "step_gain",
-    "take_step",
 ]

@@ -24,7 +24,8 @@ class PsoParams:
 
     Particles start at the reference configuration plus a componentwise
     uniform offset in (-init_spread, +init_spread) degrees, with zero initial
-    velocities. Velocity components are clamped to +-init_spread.
+    velocities. When init_spread > 0, velocity components are clamped to
+    +-init_spread; with init_spread = 0 they are not clamped.
     """
 
     population: int = 100

@@ -116,23 +116,9 @@ class RunRecord:
     elapsed: float
 
 
-def step_gain(params: SolverParams, k: int) -> float:
-    """Decaying step size a/(A+k)^alpha for iteration k >= 1."""
-    if k < 1:
-        raise ValueError(f"iteration index must be >= 1, got {k}")
-    return params.a / (params.A + k) ** params.alpha
-
-
-def perturbation_gain(params: SolverParams, k: int) -> float:
-    """Decaying perturbation size c/k^gamma for iteration k >= 1."""
-    if k < 1:
-        raise ValueError(f"iteration index must be >= 1, got {k}")
-    return params.c / k**params.gamma
-
-
-def sample_perturbation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random direction with independent equiprobable +-1 components."""
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+def _estimate(plus, minus, c_k):
+    """The two-measurement difference quotient (J+ - J-) / (2*c_k)."""
+    return (plus - minus) / (2.0 * c_k)
 
 
 def spsa_gradient(
@@ -162,40 +148,14 @@ def spsa_gradient(
         raise SolverFault(
             f"non-finite loss measurement: J+={loss_plus}, J-={loss_minus}"
         )
-    return (loss_plus - loss_minus) / (2.0 * c_k) / delta
+    return _estimate(loss_plus, loss_minus, c_k) / delta
 
 
 def saturate(x: np.ndarray, d: float) -> np.ndarray:
-    """Componentwise sign-preserving clamp of magnitude to ``d``."""
+    """Componentwise clamp to [-d, d]; NaN stays NaN and -0.0 stays -0.0."""
     if d <= 0:
         raise ValueError(f"saturation bound must be positive, got {d}")
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.minimum(np.abs(x), d)
-
-
-def take_step(
-    phi: np.ndarray, g_hat: np.ndarray, a_k: float, params: SolverParams
-) -> np.ndarray:
-    """One iterate update: phi - a_k*g_hat, saturated in the nlspsa variant."""
-    phi = np.asarray(phi, dtype=float)
-    g_hat = np.asarray(g_hat, dtype=float)
-    if g_hat.shape != phi.shape:
-        raise ValueError(f"gradient shape {g_hat.shape} != phi shape {phi.shape}")
-    if not np.isfinite(g_hat).all():
-        raise SolverFault("non-finite gradient estimate")
-    update = a_k * g_hat
-    if params.variant == "nlspsa":
-        update = saturate(update, params.d)
-    return phi - update
-
-
-def clamp_to_limits(phi: np.ndarray, limits) -> np.ndarray:
-    """Componentwise clamp to (q_min, q_max); no-op when limits are absent."""
-    phi = np.asarray(phi, dtype=float)
-    if limits is None:
-        return phi
-    q_min, q_max = limits
-    return np.clip(phi, np.asarray(q_min, dtype=float), np.asarray(q_max, dtype=float))
+    return np.minimum(np.maximum(x, -d), d)
 
 
 def solve(spec: ObjectiveSpec, chain: ChainModel, params: SolverParams) -> RunRecord:
@@ -379,12 +339,12 @@ def solve_many(
                 perturbation = c_k * new_phi
                 plus = evaluate(phi + perturbation, out=plus_rows[j])
                 minus = evaluate(phi - perturbation, out=minus_rows[j])
-                # delta is +-1, so every component of the update has the
-                # magnitude of this per-seed factor; saturating the factor
-                # saturates each component exactly as np.clip would.
-                factor = a_block[j] * ((plus - minus) / (2.0 * c_k))
+                # delta is +-1, so a_k * spsa_gradient(...) is +-factor in
+                # every component, and saturating the factor saturates each
+                # component of the update.
+                factor = a_block[j] * _estimate(plus, minus, c_k)
                 if d is not None:
-                    factor = np.minimum(np.maximum(factor, -d), d)
+                    factor = saturate(factor, d)
                 np.subtract(phi, factor[:, None] * new_phi, out=new_phi)
                 if limits is not None:
                     np.clip(new_phi, q_lo, q_hi, out=new_phi)

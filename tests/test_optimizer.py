@@ -5,56 +5,67 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import nlspsa_ik
+from nlspsa_ik import optimizer
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
-from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, combined_loss, default_r_ee
+from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
 from nlspsa_ik.optimizer import (
     RunRecord,
     SolverParams,
-    clamp_to_limits,
-    perturbation_gain,
-    sample_perturbation,
     saturate,
     solve,
     solve_many,
     spsa_gradient,
-    step_gain,
-    take_step,
 )
 from nlspsa_ik.scenarios import builtin
 
 DEFAULTS = SolverParams()
 
 
-class TestGains:
-    def test_step_gain_frozen_values(self):
-        assert step_gain(DEFAULTS, 1) == pytest.approx(708.2765419642232, rel=1e-12)
-        assert step_gain(DEFAULTS, 25000) == pytest.approx(6.752379027310508, rel=1e-12)
+def gain_schedules(params, ks):
+    """The engine's gain schedules a_k and c_k: numpy array power,
+    elementwise in k, so any slice of k gives the same values."""
+    ks = np.asarray(ks)
+    return params.a / (params.A + ks) ** params.alpha, params.c / ks**params.gamma
 
-    def test_step_gain_trivial(self):
-        p = SolverParams(a=1.0, A=0.0, alpha=1.0)
-        assert step_gain(p, 1) == 1.0
 
-    def test_perturbation_gain_frozen_values(self):
-        assert perturbation_gain(DEFAULTS, 1) == 0.1
-        assert perturbation_gain(DEFAULTS, 25000) == pytest.approx(
-            0.03595903753973276, rel=1e-12
-        )
+def reference_solve(spec, chain, params):
+    """One seed's run as a loop over the public per-step functions:
+    ``spsa_gradient`` over a ``LossEvaluator``, then ``saturate`` in the
+    nlspsa variant. Returns the final iterate and the per-iteration loss
+    trace (the engine's ``trace_every=1``)."""
+    evaluator = LossEvaluator(spec, chain)
+    rng = np.random.default_rng(params.seed)
+    a_ks, c_ks = gain_schedules(params, np.arange(1, params.n_max + 1))
+    phi = np.asarray(spec.reference, dtype=float)
+    trace = [evaluator(phi)]
+    for a_k, c_k in zip(a_ks.tolist(), c_ks.tolist()):
+        delta = rng.integers(0, 2, size=chain.n) * 2.0 - 1.0
+        update = a_k * spsa_gradient(evaluator, phi, c_k, delta)
+        if params.variant == "nlspsa":
+            update = saturate(update, params.d)
+        phi = phi - update
+        trace.append(evaluator(phi))
+    return phi, np.array(trace)
 
-    def test_perturbation_gain_trivial(self):
-        assert perturbation_gain(SolverParams(c=1.0, gamma=1.0), 4) == 0.25
 
-    def test_strictly_decreasing(self):
-        a_values = [step_gain(DEFAULTS, k) for k in range(1, 200)]
-        c_values = [perturbation_gain(DEFAULTS, k) for k in range(1, 200)]
-        assert all(x > y for x, y in zip(a_values, a_values[1:]))
-        assert all(x > y for x, y in zip(c_values, c_values[1:]))
+def counting_helpers(monkeypatch):
+    """Wrap optimizer.saturate and optimizer._estimate with call counters."""
+    calls = {"saturate": 0, "_estimate": 0}
 
-    def test_rejects_k_below_one(self):
-        with pytest.raises(ValueError):
-            step_gain(DEFAULTS, 0)
-        with pytest.raises(ValueError):
-            perturbation_gain(DEFAULTS, 0)
+    def counted(name):
+        inner = getattr(optimizer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(optimizer, name, wrapper)
+
+    counted("saturate")
+    counted("_estimate")
+    return calls
 
 
 class TestSolverParamsValidation:
@@ -69,23 +80,6 @@ class TestSolverParamsValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SolverParams(**kwargs)
-
-
-class TestSamplePerturbation:
-    def test_support(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_perturbation(8, rng) for _ in range(500)])
-        assert set(np.unique(draws)) == {-1.0, 1.0}
-
-    def test_deterministic_per_seed(self):
-        a = [sample_perturbation(5, np.random.default_rng(42)) for _ in range(10)]
-        b = [sample_perturbation(5, np.random.default_rng(42)) for _ in range(10)]
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_empirical_mean(self):
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_perturbation(4, rng) for _ in range(100_000)])
-        assert np.abs(draws.mean(axis=0)).max() <= 0.02
 
 
 class TestSpsaGradient:
@@ -168,36 +162,21 @@ class TestSaturate:
         assert np.array_equal(saturate(s, d), s)             # idempotent
         assert np.all(np.abs(s) <= np.abs(x))                # non-expansive
 
+    @pytest.mark.parametrize("d", [0.03, 1.0, 1e-300, 5e300])
+    def test_equals_the_sign_times_magnitude_form(self, d):
+        # frozen oracle: saturate's form before it became the engine's
+        # min/max expression
+        def oracle(x):
+            return np.sign(x) * np.minimum(np.abs(x), d)
 
-class TestTakeStep:
-    def test_zero_gradient_keeps_iterate(self):
-        phi = np.array([1.0, -2.0])
-        assert np.array_equal(take_step(phi, np.zeros(2), 5.0, DEFAULTS), phi)
-
-    def test_saturated_step(self):
-        out = take_step(np.zeros(1), np.array([100.0]), 1.0, DEFAULTS)
-        assert out == pytest.approx([-0.03])
-
-    def test_unsaturated_step(self):
-        out = take_step(np.zeros(1), np.array([0.001]), 1.0, DEFAULTS)
-        assert out == pytest.approx([-0.001])
-
-    def test_plain_variant_is_unbounded(self):
-        params = SolverParams(variant="spsa")
-        out = take_step(np.zeros(1), np.array([100.0]), 1.0, params)
-        assert out == pytest.approx([-100.0])
-
-    def test_non_finite_gradient_is_a_fault(self):
-        with pytest.raises(SolverFault):
-            take_step(np.zeros(2), np.array([1.0, math.nan]), 1.0, DEFAULTS)
-
-
-class TestClampToLimits:
-    def test_examples(self):
-        limits = (np.array([-180.0]), np.array([180.0]))
-        assert clamp_to_limits(np.array([200.0]), limits) == pytest.approx([180.0])
-        assert clamp_to_limits(np.array([-200.0]), limits) == pytest.approx([-180.0])
-        assert clamp_to_limits(np.array([10.0]), None) == pytest.approx([10.0])
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, d, -d, 1e-300, -1e-300]
+        x = np.concatenate([special, np.random.default_rng(5).normal(size=200)])
+        assert np.array_equal(saturate(x, d), oracle(x), equal_nan=True)
+        # The one difference, which array_equal cannot see: -0.0 now keeps
+        # its sign, where sign(-0.0) * 0.0 gave +0.0.
+        zeros = np.array([0.0, -0.0])
+        assert np.signbit(saturate(zeros, d)).tolist() == [False, True]
+        assert np.signbit(oracle(zeros)).tolist() == [False, False]
 
 
 def quadratic_scenario(n=3, seed=0):
@@ -261,37 +240,42 @@ class TestSolve:
         rec = solve(scenario.spec, scenario.chain, SolverParams(n_max=800, seed=2))
         assert rec.max_step_inf <= DEFAULTS.d * (1 + 1e-9)
 
-    def test_iterate_diffs_bounded_step_by_step(self):
-        # reconstruct the trajectory with the public single-step operations
-        scenario = builtin("1.1")
-        params = SolverParams(n_max=300, seed=9)
-        evaluator = LossEvaluator(scenario.spec, scenario.chain)
-        rng = np.random.default_rng(9)
-        phi = np.asarray(scenario.spec.reference, dtype=float)
-        for k in range(1, 301):
-            delta = sample_perturbation(8, rng)
-            g = spsa_gradient(evaluator, phi, perturbation_gain(params, k), delta)
-            new_phi = take_step(phi, g, step_gain(params, k), params)
-            assert np.abs(new_phi - phi).max() <= params.d * (1 + 1e-12)
-            phi = new_phi
+    def test_reference_schedules_frozen_values(self):
+        a_ks, c_ks = gain_schedules(DEFAULTS, [1, 25000])
+        assert a_ks[0] == pytest.approx(708.2765419642232, rel=1e-12)
+        assert a_ks[1] == pytest.approx(6.752379027310508, rel=1e-12)
+        assert c_ks[0] == 0.1
+        assert c_ks[1] == pytest.approx(0.03595903753973276, rel=1e-12)
+        a_ks, c_ks = gain_schedules(DEFAULTS, np.arange(1, 200))
+        assert np.all(np.diff(a_ks) < 0) and np.all(np.diff(c_ks) < 0)
 
-    def test_engine_matches_reference_loop(self):
-        # the batched engine must agree with a loop over the public ops
-        scenario = builtin("1.1")
-        params = SolverParams(n_max=200, seed=7)
+    @pytest.mark.parametrize("variant", ["nlspsa", "spsa"])
+    @pytest.mark.parametrize("scenario_id", ["1.1", "1.7", "2.1", "2.3"])
+    def test_engine_matches_reference_loop(self, scenario_id, variant):
+        # the batched engine must agree, bit for bit, with a loop over the
+        # public per-step functions
+        scenario = builtin(scenario_id)
+        params = SolverParams(n_max=1500, seed=7, variant=variant)
         rec = solve(scenario.spec, scenario.chain, params)
+        phi, trace = reference_solve(scenario.spec, scenario.chain, params)
+        assert np.array_equal(rec.final_iterate, phi)
+        assert np.array_equal(rec.loss_trace, trace)
 
-        rng = np.random.default_rng(7)
-        phi = np.asarray(scenario.spec.reference, dtype=float)
-        for k in range(1, 201):
-            delta = sample_perturbation(8, rng)
-            c_k = perturbation_gain(params, k)
-            g = spsa_gradient(
-                lambda q: combined_loss(scenario.spec, scenario.chain, q),
-                phi, c_k, delta,
-            )
-            phi = take_step(phi, g, step_gain(params, k), params)
-        assert rec.final_iterate == pytest.approx(phi, abs=1e-9)
+    @pytest.mark.parametrize("variant, saturations", [("nlspsa", 300), ("spsa", 0)])
+    def test_engine_runs_the_certified_helpers(self, monkeypatch, variant, saturations):
+        # criteria 7 and 8 certify spsa_gradient and saturate; the engine
+        # must run saturate and the estimate spsa_gradient returns through
+        calls = counting_helpers(monkeypatch)
+        spec, chain = quadratic_scenario()
+        rec = solve(spec, chain, SolverParams(n_max=300, seed=2, variant=variant))
+        assert rec.iterations == 300
+        assert calls == {"saturate": saturations, "_estimate": 300}
+
+    def test_spsa_gradient_returns_through_the_engine_estimate(self, monkeypatch):
+        calls = counting_helpers(monkeypatch)
+        g = spsa_gradient(lambda q: float(q @ q), np.ones(3), 0.1, np.array([1.0, -1.0, 1.0]))
+        assert calls == {"saturate": 0, "_estimate": 1}
+        assert g == pytest.approx([2.0, -2.0, 2.0])
 
     def test_plain_spsa_matches_nlspsa_when_steps_are_small(self):
         spec, chain = quadratic_scenario()
@@ -357,3 +341,17 @@ class TestSolve:
         assert rec.final_pose.theta_deg >= 0.0
         assert rec.best_loss <= rec.loss_trace.min() + 1e-18
         assert np.isfinite(rec.loss_trace).all()
+
+
+def test_public_names():
+    assert set(nlspsa_ik.__all__) == {
+        "ArtifactError", "ChainModel", "LossEvaluator", "ObjectiveSpec", "Pose",
+        "PsoParams", "RunRecord", "Scenario", "ScenarioError",
+        "ScenarioFormatError", "ScenarioLookupError", "SolverFault",
+        "SolverParams", "builtin", "builtin_ids", "combined_loss",
+        "default_r_ee", "end_effector_cost", "forward_kinematics",
+        "joint_motion_cost", "joint_positions", "load_scenario", "mod_floor",
+        "pose_error", "pso_solve", "saturate", "save_scenario", "solve",
+        "solve_many", "spsa_gradient",
+    }
+    assert all(hasattr(nlspsa_ik, name) for name in nlspsa_ik.__all__)
