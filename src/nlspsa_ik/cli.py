@@ -18,6 +18,7 @@ import numpy as np
 from .artifacts import (
     SweepReport,
     _median,
+    _none_if_nan,
     read_run_result,
     read_trace_csv,
     run_result_doc,
@@ -246,10 +247,10 @@ def cmd_compare(args) -> int:
             "population": args.population,
             "init_spread": args.init_spread,
             "seeds": seeds,
-            "nlspsa_losses": [None if np.isnan(v) else float(v) for v in nl_losses],
-            "pso_losses": [None if np.isnan(v) else float(v) for v in pso_losses],
-            "nlspsa_median": None if np.isnan(nl_median) else nl_median,
-            "pso_median": None if np.isnan(pso_median) else pso_median,
+            "nlspsa_losses": [_none_if_nan(v) for v in nl_losses],
+            "pso_losses": [_none_if_nan(v) for v in pso_losses],
+            "nlspsa_median": _none_if_nan(nl_median),
+            "pso_median": _none_if_nan(pso_median),
             "winner": winner,
         },
     )

@@ -17,20 +17,16 @@ DEG2RAD = math.pi / 180.0
 def mod_floor(alpha: float, beta: float) -> float:
     """Floored modulo ``alpha - beta*floor(alpha/beta)``, result in [0, beta).
 
-    Computed via ``math.fmod``, which is exact in floating point; the naive
-    floor-multiply-subtract form loses to rounding once ``alpha`` is large.
+    Python's float ``%`` twice, as the loss wraps theta. The first is the
+    exact ``math.fmod`` plus ``beta`` for a negative remainder, which can
+    round a tiny negative ``alpha`` up to exactly ``beta``; the second maps
+    that to 0. No result is ``-0.0``.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    result = math.fmod(alpha, beta)
-    if result < 0.0:
-        result += beta
-    # adding beta to a tiny negative remainder can round up to exactly beta
-    if result >= beta:
-        result = 0.0
-    return result
+    return alpha % beta % beta
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import _pose_doc
 from .errors import ScenarioFormatError, ScenarioLookupError
 from .kinematics import DEG2RAD, ChainModel, Pose, forward_kinematics
-from .objective import ObjectiveSpec, combined_loss, default_r_ee
+from .objective import ObjectiveSpec, _is_diagonal, combined_loss, default_r_ee
 
 POSE_TOLERANCE = 1e-9
 LOSS_TOLERANCE = 5e-5  # 4-decimal rounding of the encoded values
@@ -150,10 +151,6 @@ def builtin(scenario_id: str) -> Scenario:
     )
 
 
-def _pose_to_doc(pose: Pose) -> dict:
-    return {"x": pose.x, "y": pose.y, "theta_deg": pose.theta_deg}
-
-
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as a JSON document (see :func:`load_scenario`)."""
     spec = scenario.spec
@@ -161,19 +158,19 @@ def save_scenario(scenario: Scenario, path) -> None:
         "id": scenario.id,
         "link_lengths": list(scenario.chain.link_lengths),
         "q0_deg": [float(v) for v in spec.reference],
-        "target": _pose_to_doc(spec.target),
+        "target": _pose_doc(spec.target),
         "w_jmc": spec.w_jmc,
         "w_ee": spec.w_ee,
     }
     for key, matrix in (("r_ee", spec.r_ee), ("q_jmc", spec.q_jmc)):
-        if np.count_nonzero(matrix - np.diag(np.diag(matrix))) == 0:
+        if _is_diagonal(matrix):
             doc[f"{key}_diag"] = [float(v) for v in np.diag(matrix)]
         else:
             doc[key] = [[float(v) for v in row] for row in matrix]
     if scenario.chain.joint_limits is not None:
         q_min, q_max = scenario.chain.joint_limits
         doc["joint_limits"] = {"q_min": list(q_min), "q_max": list(q_max)}
-    doc["expected_initial_pose"] = _pose_to_doc(scenario.expected_initial_pose)
+    doc["expected_initial_pose"] = _pose_doc(scenario.expected_initial_pose)
     doc["expected_initial_loss"] = scenario.expected_initial_loss
     if scenario.reported_final_loss is not None:
         doc["reported_final_loss"] = scenario.reported_final_loss

@@ -12,6 +12,7 @@ from nlspsa_ik.artifacts import (
     read_sweep_csv,
     read_trace_csv,
     run_result_doc,
+    sweep_csv_header,
     write_compare_csv,
     write_json,
     write_sweep_csv,
@@ -26,6 +27,20 @@ from nlspsa_ik.scenarios import builtin
 def short_run():
     s = builtin("1.1")
     return s, solve(s.spec, s.chain, SolverParams(n_max=40, seed=0))
+
+
+def csv_module_bytes(path, header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``rows``, each cell the ``repr`` of an
+    int or of a float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+                 for v in row]
+            )
+    return path.read_bytes()
 
 
 class TestTraceCsv:
@@ -47,12 +62,10 @@ class TestTraceCsv:
             rec, loss_trace=losses, trace_iterations=np.arange(losses.size) * 3
         )
         write_trace_csv(tmp_path / "fast.csv", long_rec)
-        with open(tmp_path / "csv.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "loss"])
-            for k, v in zip(long_rec.trace_iterations, losses):
-                writer.writerow([repr(int(k)), repr(float(v))])
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == csv_module_bytes(
+            tmp_path / "csv.csv", ["iteration", "loss"],
+            zip(long_rec.trace_iterations, losses),
+        )
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -128,6 +141,24 @@ class TestSweepReport:
         write_sweep_csv(b, report)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_csv_bytes_match_the_csv_module(self, short_run, tmp_path):
+        # a faulted seed's NaN row, and odd values that need no quoting
+        s, rec = short_run
+        report = build_report(s, [rec, SolverFault("x"), rec], [0, 1, 2])
+        report.final_losses[2] = -0.0
+        report.pos_errors[2] = np.inf
+        report.theta_errors[2] = 1e-300
+        report.displacements[2, :2] = [-0.0, 1e-300]
+        write_sweep_csv(tmp_path / "sweep.csv", report)
+        rows = [
+            [seed, report.final_losses[i], report.pos_errors[i],
+             report.theta_errors[i], report.wall_ms[i], *report.displacements[i]]
+            for i, seed in enumerate(report.seeds)
+        ]
+        assert (tmp_path / "sweep.csv").read_bytes() == csv_module_bytes(
+            tmp_path / "ref.csv", sweep_csv_header(s.chain.n), rows
+        )
+
 
 class TestCompareCsv:
     def test_round_trip(self, tmp_path):
@@ -139,6 +170,20 @@ class TestCompareCsv:
         assert cols["seeds"] == [0, 1, 2]
         assert np.array_equal(cols["nlspsa_losses"], nl, equal_nan=True)
         assert np.array_equal(cols["pso_losses"], pso, equal_nan=True)
+
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        # enough rows to span several write chunks
+        rng = np.random.default_rng(1)
+        seeds = list(range(5000))
+        nl = rng.lognormal(size=5000) * 1e-3
+        pso = rng.lognormal(size=5000) * 1e-3
+        nl[[0, 1, 2, 3]] = [np.nan, -0.0, np.inf, 1e-300]
+        pso[[0, 4, 5]] = [np.nan, -np.inf, 1e-300]
+        write_compare_csv(tmp_path / "cmp.csv", seeds, nl, pso)
+        assert (tmp_path / "cmp.csv").read_bytes() == csv_module_bytes(
+            tmp_path / "ref.csv", ["seed", "nlspsa_loss", "pso_loss"],
+            zip(seeds, nl, pso),
+        )
 
 
 class TestRunResult:

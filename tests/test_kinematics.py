@@ -58,6 +58,29 @@ class TestModFloor:
         r = mod_floor(-1e-20, 360.0)
         assert 0.0 <= r < 360.0
 
+    @pytest.mark.parametrize("alpha", [-0.0, -360.0, -720.0])
+    def test_multiples_of_beta_give_positive_zero(self, alpha):
+        assert not np.signbit(mod_floor(alpha, 360.0))
+
+    def test_fk_theta_is_never_negative_zero(self):
+        pose = forward_kinematics(ChainModel.unit_links(2), [-180.0, -180.0])
+        assert pose.theta_deg == 0.0 and not np.signbit(pose.theta_deg)
+
+    def test_bits_match_the_loss_wrap(self):
+        # the loss wraps theta as np.remainder twice (Python's float % in its
+        # one-row finish): the same IEEE operations, so the same bits
+        k = np.arange(-4, 5) * 360.0
+        offsets = np.array([0.0, 1e-300, -1e-300, 1e-14, -1e-14, 1e-9, -1e-9,
+                            0.5, -0.5, 180.0, -180.0, 359.999, -359.999])
+        table = np.concatenate([
+            (k[:, None] + offsets).ravel(),
+            np.nextafter(k, np.inf), np.nextafter(k, -np.inf),
+            [-0.0, 1e12 + 0.3, -1e12 - 0.3, 7.0e15, -7.0e15],
+        ])
+        want = np.remainder(np.remainder(table, 360.0), 360.0)
+        got = np.array([mod_floor(a, 360.0) for a in table.tolist()])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPose:
     def test_theta_range_enforced(self):
