@@ -52,17 +52,32 @@ def _write_csv(path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _read_csv(path, expected_prefix: list[str]) -> tuple[list[str], list[list[str]]]:
+def _read_csv(
+    path, expected_prefix: list[str]
+) -> tuple[list[str], list[int], np.ndarray]:
+    """The header, the int first column and the float cells of the other
+    columns (one row each) of an artifact CSV, as every writer here lays it
+    out. A row of the wrong width or a cell that does not parse is an
+    :class:`ArtifactError` naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        rows = list(reader)
-    if header is None or header[: len(expected_prefix)] != expected_prefix:
-        raise ArtifactError(
-            f"{path}: expected a CSV starting with columns {expected_prefix}, "
-            f"got {header}"
-        )
-    return header, rows
+        if header is None or header[: len(expected_prefix)] != expected_prefix:
+            raise ArtifactError(
+                f"{path}: expected a CSV starting with columns {expected_prefix}, "
+                f"got {header}"
+            )
+        first, cells = [], []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ArtifactError(f"{where}: {len(row)} cells, expected {len(header)}")
+            try:
+                first.append(int(row[0]))
+                cells.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ArtifactError(f"{where}: {exc}") from None
+    return header, first, np.array(cells).reshape(len(cells), len(header) - 1)
 
 
 def write_trace_csv(path, record: RunRecord) -> None:
@@ -72,10 +87,8 @@ def write_trace_csv(path, record: RunRecord) -> None:
 
 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    _, rows = _read_csv(path, ["iteration", "loss"])
-    iterations = np.array([int(r[0]) for r in rows], dtype=int)
-    losses = np.array([float(r[1]) for r in rows])
-    return iterations, losses
+    _, iterations, cells = _read_csv(path, ["iteration", "loss"])
+    return np.array(iterations, dtype=int), cells[:, 0]
 
 
 @dataclass(eq=False)
@@ -218,15 +231,14 @@ def write_sweep_csv(path, report: SweepReport) -> None:
 def read_sweep_csv(path) -> dict:
     """Columns of a sweep CSV as arrays: seeds, final_losses, pos_errors,
     theta_errors, wall_ms, displacements."""
-    header, rows = _read_csv(path, ["seed", "final_loss", "pos_err", "theta_err"])
-    n = len(header) - 5
+    _, seeds, cells = _read_csv(path, sweep_csv_header(0))
     return {
-        "seeds": [int(r[0]) for r in rows],
-        "final_losses": np.array([float(r[1]) for r in rows]),
-        "pos_errors": np.array([float(r[2]) for r in rows]),
-        "theta_errors": np.array([float(r[3]) for r in rows]),
-        "wall_ms": np.array([float(r[4]) for r in rows]),
-        "displacements": np.array([[float(v) for v in r[5 : 5 + n]] for r in rows]),
+        "seeds": seeds,
+        "final_losses": cells[:, 0],
+        "pos_errors": cells[:, 1],
+        "theta_errors": cells[:, 2],
+        "wall_ms": cells[:, 3],
+        "displacements": cells[:, 4:],
     }
 
 
@@ -243,12 +255,8 @@ def write_compare_csv(path, seeds, nlspsa_losses, pso_losses) -> None:
 
 
 def read_compare_csv(path) -> dict:
-    _, rows = _read_csv(path, ["seed", "nlspsa_loss", "pso_loss"])
-    return {
-        "seeds": [int(r[0]) for r in rows],
-        "nlspsa_losses": np.array([float(r[1]) for r in rows]),
-        "pso_losses": np.array([float(r[2]) for r in rows]),
-    }
+    _, seeds, cells = _read_csv(path, ["seed", "nlspsa_loss", "pso_loss"])
+    return {"seeds": seeds, "nlspsa_losses": cells[:, 0], "pso_losses": cells[:, 1]}
 
 
 def _pose_doc(pose: Pose) -> dict:
@@ -319,6 +327,8 @@ def read_run_result(path) -> dict:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path}: corrupt run artifact: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{path}: run artifact is not a JSON object")
     required = ("link_lengths", "q0_deg", "target", "final_q_deg", "trace_csv")
     missing = [k for k in required if k not in doc]
     if missing:

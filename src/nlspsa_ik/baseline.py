@@ -122,7 +122,6 @@ def pso_solve(spec: ObjectiveSpec, chain: ChainModel, params: PsoParams) -> RunR
         final_loss=gbest_loss,
         loss_trace=np.asarray(trace),
         trace_iterations=np.arange(len(trace)),
-        best_iterate=gbest_pos.copy(),
         best_loss=gbest_loss,
         evaluations=evals,
         trace_evaluations=0,

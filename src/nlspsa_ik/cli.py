@@ -200,17 +200,12 @@ def cmd_compare(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
     params = _solver_params(args, seed=0)
-    budget = args.budget if args.budget is not None else 2 * params.n_max
-    if budget < 2:
-        raise ValueError(f"budget must be at least 2, got {budget}")
+    budget = 2 * params.n_max
     seeds = list(range(args.seeds))
-    nl_params = dataclasses.replace(
-        params,
-        n_max=max(budget // 2, 1),
-        trace_every=args.trace_every or max(budget // 2, 1),
-    )
     nl_outcomes = solve_many(
-        spec, scenario.chain, nl_params, seeds, return_faults=True
+        spec, scenario.chain,
+        dataclasses.replace(params, trace_every=args.trace_every or params.n_max),
+        seeds, return_faults=True,
     )
     nl_losses = np.array(
         [
@@ -266,22 +261,28 @@ def cmd_compare(args) -> int:
 def cmd_plot(args) -> int:
     doc = read_run_result(args.run)
     run_path = Path(args.run)
-    iterations, losses = read_trace_csv(run_path.parent / doc["trace_csv"])
+    try:
+        trace_path = run_path.parent / doc["trace_csv"]
+        limits = doc.get("joint_limits")
+        chain = ChainModel(
+            tuple(doc["link_lengths"]),
+            joint_limits=None if limits is None else (limits["q_min"], limits["q_max"]),
+        )
+        posture = posture_svg(
+            joint_positions(chain, doc["q0_deg"]),
+            joint_positions(chain, doc["final_q_deg"]),
+            (doc["target"]["x"], doc["target"]["y"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{run_path}: malformed run artifact: {exc!r}") from None
+    iterations, losses = read_trace_csv(trace_path)
     if iterations.size == 0:
-        raise ArtifactError(f"{doc['trace_csv']}: empty loss trace")
-    limits = doc.get("joint_limits")
-    chain = ChainModel(
-        tuple(doc["link_lengths"]),
-        joint_limits=None if limits is None else (limits["q_min"], limits["q_max"]),
-    )
-    initial_pts = joint_positions(chain, doc["q0_deg"])
-    final_pts = joint_positions(chain, doc["final_q_deg"])
-    target = (doc["target"]["x"], doc["target"]["y"])
+        raise ArtifactError(f"{trace_path}: empty loss trace")
     out = _outdir(args)
     stem = f"{_safe_name(str(doc.get('scenario_id', 'run')))}_seed{doc.get('seed', 0)}"
     posture_path = out / f"posture_{stem}.svg"
     conv_path = out / f"convergence_{stem}.svg"
-    posture_path.write_text(posture_svg(initial_pts, final_pts, target))
+    posture_path.write_text(posture)
     conv_path.write_text(convergence_svg(iterations, losses))
     print(f"wrote {posture_path} and {conv_path}")
     return EXIT_OK
@@ -340,14 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cmp = sub.add_parser("compare", help="budget-matched NLSPSA vs PSO comparison")
+    p_cmp = sub.add_parser("compare", help="NLSPSA vs PSO, 2 * n-max loss evaluations each")
     _add_common_args(p_cmp)
     p_cmp.add_argument("--seeds", type=int, default=20)
     p_cmp.add_argument("--population", type=int, default=100,
                        help="PSO population size (default: 100)")
-    p_cmp.add_argument("--budget", type=int, default=None,
-                       help="loss-evaluation budget for both solvers "
-                            "(default: 2*n_max; should be even)")
     p_cmp.add_argument("--init-spread", type=float, default=20.0, dest="init_spread",
                        help="PSO initialization half-range, degrees (default: 20)")
     p_cmp.set_defaults(func=cmd_compare)

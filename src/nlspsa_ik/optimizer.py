@@ -87,8 +87,8 @@ class RunRecord:
     """Outcome of one solver run.
 
     ``final_iterate`` is the iterate after the last executed iteration (the
-    answer), not the best-so-far; ``best_iterate``/``best_loss`` track the
-    minimum over traced loss values and are diagnostic only. ``evaluations``
+    answer), not the best-so-far; ``best_loss`` is the lowest value in
+    ``loss_trace`` and is diagnostic only. ``evaluations``
     counts loss measurements consumed by the optimizer itself (exactly two
     per iteration); the ``trace_evaluations`` bookkeeping measurements are
     counted separately. ``loss_trace[i]`` is the loss after
@@ -106,7 +106,6 @@ class RunRecord:
     final_loss: float
     loss_trace: np.ndarray
     trace_iterations: np.ndarray
-    best_iterate: np.ndarray
     best_loss: float
     evaluations: int
     trace_evaluations: int
@@ -191,9 +190,10 @@ def solve_many(
 
     Each iteration only measures the two losses, takes the step, and stores
     the losses and the new iterate in per-block buffers. Finiteness checks,
-    best-so-far tracking, the step bound and ``stop_loss`` are settled once
-    per block from those buffers, with the same outcome, down to the fault
-    iteration, as checking after every iteration.
+    the step bound and ``stop_loss`` are settled once per block from those
+    buffers, with the same outcome, down to the fault iteration, as checking
+    after every iteration. A record's initial, final and best loss are read
+    from its trace, whose values are all finite.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -232,12 +232,9 @@ def solve_many(
 
     active = np.ones(n_seeds, dtype=bool)
     faults: list[SolverFault | None] = [None] * n_seeds
-    iterations_done = np.zeros(n_seeds, dtype=int)
+    end_k = np.full(n_seeds, n_iter)  # the last iteration a seed runs
     final_phi = np.empty((n_seeds, n))
-    final_loss = np.full(n_seeds, np.nan)
     max_step = np.zeros(n_seeds)
-    best_phi = hist[0].copy()
-    best_loss = np.full(n_seeds, np.inf)
 
     def first_event(bad: np.ndarray, at: np.ndarray, kind: int) -> np.ndarray:
         """Rank of each seed's first ``bad`` row (rows happen at ``at``)."""
@@ -278,21 +275,13 @@ def solve_many(
         stopped = (events != _NO_EVENT) & (kind == _STOP)
         counted = active & ((events == _NO_EVENT) | stopped)
 
-        # A seed that stops at iteration k counts this block's iterations,
-        # steps and trace values up to k; one that runs on counts them all.
+        # A seed that stops at iteration k counts this block's steps up to k;
+        # one that runs on counts them all.
         done = np.where(stopped, event_k - block_start, block_len)
-        iterations_done[counted] += done[counted]
         in_run = at_k[:, None] - block_start <= done
         np.maximum(max_step, np.where(in_run, steps, 0.0).max(axis=0), out=max_step, where=counted)
-        if values.shape[0]:
-            seen = np.where(value_ks[:, None] - block_start <= done, values, np.inf)
-            first_min = seen.argmin(axis=0)
-            lowest = seen[first_min, np.arange(n_seeds)]
-            improved = counted & (lowest < best_loss)
-            best_loss[improved] = lowest[improved]
-            best_phi[improved] = history[value_ks[first_min[improved]] - block_start, improved]
+        end_k[stopped] = event_k[stopped]
         final_phi[stopped] = history[done[stopped], stopped]
-        final_loss[stopped] = values[np.searchsorted(value_ks, event_k[stopped]), stopped]
         active[events != _NO_EVENT] = False
 
         faulted = np.flatnonzero((events != _NO_EVENT) & ~stopped)
@@ -363,32 +352,31 @@ def solve_many(
 
         still_running = np.flatnonzero(active)
         final_phi[still_running] = hist[0, still_running]
-        final_loss[still_running] = traces[-1, still_running]
 
     elapsed = (time.perf_counter() - started) / n_seeds
     # A record's trace is a read-only view of its prefix of the batch's
     # trace points: no per-seed copies.
     traces.setflags(write=False)
     trace_ks.setflags(write=False)
-    counts = np.searchsorted(trace_ks, iterations_done, "right").tolist()
+    counts = np.searchsorted(trace_ks, end_k, "right").tolist()
     results: list = []
-    for s, count in enumerate(counts):
+    for s, (count, k) in enumerate(zip(counts, end_k.tolist())):
         if faults[s] is not None:
             results.append(faults[s])
             continue
+        trace = traces[:count, s]
         results.append(
             RunRecord(
                 final_iterate=final_phi[s].copy(),
                 final_pose=forward_kinematics(chain, final_phi[s]),
-                initial_loss=float(traces[0, s]),
-                final_loss=float(final_loss[s]),
-                loss_trace=traces[:count, s],
+                initial_loss=float(trace[0]),
+                final_loss=float(trace[-1]),
+                loss_trace=trace,
                 trace_iterations=trace_ks[:count],
-                best_iterate=best_phi[s].copy(),
-                best_loss=float(best_loss[s]),
-                evaluations=2 * int(iterations_done[s]),
+                best_loss=float(trace.min()),
+                evaluations=2 * k,
                 trace_evaluations=count,
-                iterations=int(iterations_done[s]),
+                iterations=k,
                 max_step_inf=float(max_step[s]),
                 seed=seeds[s],
                 elapsed=elapsed,

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,22 @@ class TestCompareCsv:
             tmp_path / "ref.csv", ["seed", "nlspsa_loss", "pso_loss"],
             zip(seeds, nl, pso),
         )
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_trace_csv, "iteration,loss\n0,1.5\n1\n"),
+        (read_sweep_csv, "seed,final_loss,pos_err,theta_err,wall_ms,dq_1\n0,1,2,3,4,5\n1,1,2,3,4\n"),
+        (read_compare_csv, "seed,nlspsa_loss,pso_loss\n0,1.0,2.0\n1,1.0,2.0,3.0\n"),
+        (read_compare_csv, "seed,nlspsa_loss,pso_loss\n0,1.0,2.0\n1,1.0,x\n"),
+    ],
+)
+def test_readers_name_the_malformed_line(tmp_path, reader, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}, line 3: "):
+        reader(path)
 
 
 class TestRunResult:

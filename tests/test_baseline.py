@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nlspsa_ik.baseline import PsoParams, pso_solve
+from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
 from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec
 from nlspsa_ik.scenarios import builtin, builtin_ids
@@ -102,6 +103,29 @@ class TestPsoSolve:
 
         pose = forward_kinematics(scenario.chain, rec.final_iterate)
         assert rec.final_pose == pose
+
+    @pytest.mark.parametrize("generation", [0, 1, 4])
+    def test_nan_loss_faults_at_its_generation(self, monkeypatch, generation):
+        # evaluate_many is called once per generation; generation 0 is the
+        # initial population.
+        evaluate_many = LossEvaluator.evaluate_many
+        calls = []
+
+        def injecting(self, configs, out=None):
+            values = evaluate_many(self, configs, out=out)
+            if len(calls) == generation:
+                values[3] = np.nan
+            calls.append(len(configs))
+            return values
+
+        monkeypatch.setattr(LossEvaluator, "evaluate_many", injecting)
+        params = PsoParams(population=10, eval_budget=100, seed=2)
+        with pytest.raises(SolverFault) as excinfo:
+            pso_solve(sphere_spec(), ChainModel.unit_links(2), params)
+        assert excinfo.value.iteration == generation
+        assert len(calls) == generation + 1
+        where = "initial population" if generation == 0 else f"generation {generation}"
+        assert str(excinfo.value) == f"non-finite loss in {where}"
 
 
 def frozen_pso_generations(spec, chain, params):

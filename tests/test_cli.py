@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from nlspsa_ik import cli
 from nlspsa_ik.cli import _worker_count, main
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
-from nlspsa_ik.objective import ObjectiveSpec, combined_loss, default_r_ee
+from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, combined_loss, default_r_ee
 from nlspsa_ik.optimizer import SolverParams, solve
 from nlspsa_ik.scenarios import Scenario, builtin, save_scenario
 from nlspsa_ik.svgplot import convergence_svg, posture_svg
@@ -92,6 +93,18 @@ class TestRunCommand:
         heavy = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
         assert heavy["initial_loss"] != base["initial_loss"]
         assert heavy["params"]["w_jmc"] == 10.0
+
+    def test_end_effector_weight_override_changes_loss(self, tmp_path):
+        run_cli("run", "--scenario", "1.5", "--n-max", "50", "--out", tmp_path)
+        base = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
+        run_cli(
+            "run", "--scenario", "1.5", "--n-max", "50", "--w-ee", "10",
+            "--out", tmp_path,
+        )
+        heavy = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
+        assert heavy["initial_loss"] != base["initial_loss"]
+        assert heavy["params"]["w_ee"] == 10.0
+        assert heavy["params"]["w_jmc"] == base["params"]["w_jmc"]
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -240,6 +253,29 @@ class TestSweepCommand:
             assert two["final_loss"] == one["final_loss"]
             assert two["dq"] == one["dq"]
 
+    def test_fault_pickles_with_its_iteration(self):
+        fault = pickle.loads(pickle.dumps(SolverFault("non-finite loss", iteration=7)))
+        assert type(fault) is SolverFault
+        assert (str(fault), fault.iteration) == ("non-finite loss", 7)
+
+    def test_two_process_sweep_keeps_each_fault(self, tmp_path, monkeypatch):
+        # Faults cross the process pool as pickles, and come back as the
+        # one-process sweep reports them.
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        faults = {}
+        for jobs in (2, 1):
+            out = tmp_path / f"jobs{jobs}"
+            code = run_cli(
+                "sweep", "--scenario", "1.1", "--variant", "spsa", "--a", "1e200",
+                "--n-max", "60", "--seeds", "4", "--jobs", jobs, "--out", out,
+            )
+            assert code == 0
+            per_seed = json.loads((out / "sweep_1.1.json").read_text())["per_seed"]
+            faults[jobs] = [s["fault"] for s in per_seed]
+        assert all(faults[1])
+        assert faults[2] == faults[1]
+
     def test_total_wall_ms_is_measured_wall_time(self, tmp_path, monkeypatch):
         # Per-seed times share out a batch's time; the total is measured and
         # also covers faulted seeds.
@@ -278,7 +314,7 @@ class TestSweepCommand:
 class TestCompareCommand:
     def test_emits_csv_and_winner(self, tmp_path, capsys):
         code = run_cli(
-            "compare", "--scenario", "1.1", "--seeds", "2", "--budget", "3000",
+            "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "1500",
             "--population", "30", "--out", tmp_path,
         )
         assert code == 0
@@ -298,7 +334,7 @@ class TestCompareCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_cli(
-                "compare", "--scenario", "1.1", "--seeds", "2", "--budget", "200",
+                "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "100",
                 "--population", "30", "--out", tmp_path,
             )
         assert code == 0
@@ -309,9 +345,58 @@ class TestCompareCommand:
         assert doc["nlspsa_losses"] == [None, None]
         assert doc["pso_median"] is not None
 
+    def test_all_pso_seeds_faulted_means_no_winner(self, tmp_path, capsys, monkeypatch):
+        # A NaN in every PSO population (30 rows; NLSPSA measures 2 rows).
+        evaluate_many = LossEvaluator.evaluate_many
+
+        def nan_for_pso(self, configs, out=None):
+            values = evaluate_many(self, configs, out=out)
+            if len(configs) == 30:
+                values[0] = np.nan
+            return values
+
+        monkeypatch.setattr(LossEvaluator, "evaluate_many", nan_for_pso)
+        code = run_cli(
+            "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "100",
+            "--population", "30", "--out", tmp_path,
+        )
+        assert code == 0
+        assert "no winner" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "compare_1.1.json").read_text())
+        assert doc["winner"] is None
+        assert doc["pso_losses"] == [None, None]
+        assert doc["pso_median"] is None
+        assert doc["nlspsa_median"] is not None
+        cols = read_compare_csv(tmp_path / "compare_1.1.csv")
+        assert np.isnan(cols["pso_losses"]).all()
+
+    def test_budget_is_twice_n_max(self, tmp_path, monkeypatch):
+        # An odd n-max too: both solvers get the same even budget.
+        calls = []
+        solve_many, pso_solve = cli.solve_many, cli.pso_solve
+
+        def recording_solve_many(spec, chain, params, seeds, return_faults=False):
+            calls.append(("nlspsa", params.n_max, params.trace_every))
+            return solve_many(spec, chain, params, seeds, return_faults)
+
+        def recording_pso_solve(spec, chain, params):
+            calls.append(("pso", params.eval_budget))
+            return pso_solve(spec, chain, params)
+
+        monkeypatch.setattr(cli, "solve_many", recording_solve_many)
+        monkeypatch.setattr(cli, "pso_solve", recording_pso_solve)
+        code = run_cli(
+            "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "101",
+            "--population", "30", "--out", tmp_path,
+        )
+        assert code == 0
+        assert calls == [("nlspsa", 101, 101), ("pso", 202), ("pso", 202)]
+        doc = json.loads((tmp_path / "compare_1.1.json").read_text())
+        assert doc["eval_budget"] == 202
+
     def test_budget_equal_population_still_valid(self, tmp_path):
         code = run_cli(
-            "compare", "--scenario", "1.1", "--seeds", "2", "--budget", "30",
+            "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "15",
             "--population", "30", "--out", tmp_path,
         )
         assert code == 0
@@ -361,6 +446,55 @@ class TestPlotCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
         assert run_cli("plot", "--run", bad) == 4
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("7", "line 3: 1 cells, expected 2"),
+            ("7,oops", "line 3: could not convert string to float: 'oops'"),
+            ("7.5,0.25", "line 3: invalid literal for int()"),
+        ],
+    )
+    def test_malformed_trace_row_exit_code(self, tmp_path, capsys, row, message):
+        result = self._make_run(tmp_path)
+        trace = tmp_path / "run_1.7_seed1.csv"
+        lines = trace.read_text().splitlines()
+        lines[2] = row
+        trace.write_text("\n".join(lines) + "\n")
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert "i/o error" in err and f"{trace}, {message}" in err
+
+    def test_empty_trace_exit_code(self, tmp_path, capsys):
+        result = self._make_run(tmp_path)
+        (tmp_path / "run_1.7_seed1.csv").write_text("iteration,loss\n")
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        assert "empty loss trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("target", {"x": 1.0}),
+            ("link_lengths", []),
+            ("q0_deg", [0.0]),
+            ("final_q_deg", None),
+            ("trace_csv", 3),
+        ],
+    )
+    def test_malformed_run_json_exit_code(self, tmp_path, capsys, field, value):
+        result = self._make_run(tmp_path)
+        doc = json.loads(result.read_text())
+        doc[field] = value
+        result.write_text(json.dumps(doc))
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "malformed run artifact" in err
+
+    def test_run_json_that_is_not_an_object_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("5")
+        assert run_cli("plot", "--run", bad, "--out", tmp_path) == 4
+        assert "not a JSON object" in capsys.readouterr().err
 
 
 class TestSvgRendering:

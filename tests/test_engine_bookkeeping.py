@@ -74,8 +74,6 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
         traces[active, slot] = values[active]
         improved = active & (values < best_loss)
         best_loss[improved] = values[improved]
-        for s in np.flatnonzero(improved):
-            best_phi[s] = phi[s].copy()
         if stop_loss is not None:
             for s in np.flatnonzero(active & (values <= stop_loss)):
                 final_phi[s] = phi[s]
@@ -83,7 +81,6 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
                 active[s] = False
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        best_phi = phi.copy()
         best_loss = np.full(n_seeds, np.inf)
         record_trace(0, evaluator.evaluate_many(phi), 0)
         slot = 1
@@ -140,7 +137,6 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
                 final_loss=float(final_loss[s]),
                 loss_trace=traces[s, valid].copy(),
                 trace_iterations=trace_ks[valid].copy(),
-                best_iterate=best_phi[s].copy(),
                 best_loss=float(best_loss[s]),
                 evaluations=int(evals[s]),
                 trace_evaluations=int(trace_evals[s]),
