@@ -1,4 +1,5 @@
-"""Run, sweep, and comparison artifacts: CSV and JSON readers/writers.
+"""Run, sweep, and comparison artifacts and scenario files: the one JSON
+reader and writer, the chain codec, and the CSV readers/writers.
 
 Floats are serialized with ``repr`` (shortest round-trip form), so re-parsing
 any file reproduces the in-memory values exactly and repeated writes of the
@@ -58,25 +59,31 @@ def _read_csv(
     """The header, the int first column and the float cells of the other
     columns (one row each) of an artifact CSV, as every writer here lays it
     out. A row of the wrong width or a cell that does not parse is an
-    :class:`ArtifactError` naming its line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[: len(expected_prefix)] != expected_prefix:
-            raise ArtifactError(
-                f"{path}: expected a CSV starting with columns {expected_prefix}, "
-                f"got {header}"
-            )
-        first, cells = [], []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise ArtifactError(f"{where}: {len(row)} cells, expected {len(header)}")
-            try:
-                first.append(int(row[0]))
-                cells.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ArtifactError(f"{where}: {exc}") from None
+    :class:`ArtifactError` naming its line; text that is not UTF-8 is one
+    naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[: len(expected_prefix)] != expected_prefix:
+                raise ArtifactError(
+                    f"{path}: expected a CSV starting with columns {expected_prefix}, "
+                    f"got {header}"
+                )
+            first, cells = [], []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
+                    raise ArtifactError(
+                        f"{where}: {len(row)} cells, expected {len(header)}"
+                    )
+                try:
+                    first.append(int(row[0]))
+                    cells.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise ArtifactError(f"{where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from None
     return header, first, np.array(cells).reshape(len(cells), len(header) - 1)
 
 
@@ -263,6 +270,26 @@ def _pose_doc(pose: Pose) -> dict:
     return {"x": pose.x, "y": pose.y, "theta_deg": pose.theta_deg}
 
 
+def _limits_doc(chain: ChainModel) -> dict | None:
+    """``joint_limits`` as scenario and run documents store it, or None."""
+    if chain.joint_limits is None:
+        return None
+    q_min, q_max = chain.joint_limits
+    return {"q_min": list(q_min), "q_max": list(q_max)}
+
+
+def chain_from_doc(doc: dict) -> ChainModel:
+    """The chain of a scenario or run document: ``link_lengths`` and
+    ``joint_limits`` (absent or null for none). A missing key raises
+    ``KeyError``, an ill-typed or invalid value ``TypeError`` or
+    ``ValueError``."""
+    limits = doc.get("joint_limits")
+    return ChainModel(
+        doc["link_lengths"],
+        joint_limits=None if limits is None else (limits["q_min"], limits["q_max"]),
+    )
+
+
 def run_result_doc(
     scenario_id: str,
     spec: ObjectiveSpec,
@@ -275,15 +302,12 @@ def run_result_doc(
     re-run it: chain, objective, solver settings and the versions used."""
     from . import __version__
 
-    limits = chain.joint_limits
     return {
         "scenario_id": scenario_id,
         "seed": record.seed,
         "variant": params.variant,
         "link_lengths": list(chain.link_lengths),
-        "joint_limits": None
-        if limits is None
-        else {"q_min": list(limits[0]), "q_max": list(limits[1])},
+        "joint_limits": _limits_doc(chain),
         "q0_deg": [float(v) for v in spec.reference],
         "target": _pose_doc(spec.target),
         "r_ee": spec.r_ee.tolist(),
@@ -320,22 +344,29 @@ def write_json(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_run_result(path) -> dict:
-    """Load and sanity-check a run result JSON written by the run command."""
-    path = Path(path)
+def read_json_object(path, error: type[Exception]) -> dict:
+    """The top-level object of the UTF-8 JSON file at ``path``. Text that is
+    not UTF-8 or not JSON, or a top-level value that is not an object, raises
+    ``error`` naming the file."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: corrupt run artifact: {exc.msg}") from None
+        raise error(
+            f"{path}: corrupt JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
     if not isinstance(doc, dict):
-        raise ArtifactError(f"{path}: run artifact is not a JSON object")
+        raise error(f"{path}: top-level value is not a JSON object")
+    return doc
+
+
+def read_run_result(path) -> dict:
+    """Load a run result JSON written by the run command and check that it
+    has the fields ``plot`` reads."""
+    doc = read_json_object(path, ArtifactError)
     required = ("link_lengths", "q0_deg", "target", "final_q_deg", "trace_csv")
     missing = [k for k in required if k not in doc]
     if missing:
         raise ArtifactError(f"{path}: run artifact is missing fields {missing}")
-    limits = doc.get("joint_limits")
-    if limits is not None and not (
-        isinstance(limits, dict) and "q_min" in limits and "q_max" in limits
-    ):
-        raise ArtifactError(f"{path}: joint_limits needs q_min and q_max")
     return doc

@@ -19,6 +19,7 @@ from .artifacts import (
     SweepReport,
     _median,
     _none_if_nan,
+    chain_from_doc,
     read_run_result,
     read_trace_csv,
     run_result_doc,
@@ -29,7 +30,7 @@ from .artifacts import (
 )
 from .baseline import PsoParams, pso_solve
 from .errors import ArtifactError, ScenarioError, ScenarioLookupError, SolverFault
-from .kinematics import ChainModel, joint_positions
+from .kinematics import joint_positions
 from .objective import ObjectiveSpec
 from .optimizer import SolverParams, solve, solve_many
 from .scenarios import Scenario, builtin, builtin_ids, load_scenario
@@ -127,14 +128,13 @@ def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
     global ProcessPoolExecutor
     jobs = _worker_count(jobs, len(seeds))
     if jobs == 1:
-        return solve_many(spec, chain, params, seeds, return_faults=True)
+        return solve_many(spec, chain, params, seeds)
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     chunks = [c.tolist() for c in np.array_split(np.asarray(seeds), jobs)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [
-            pool.submit(solve_many, spec, chain, params, chunk, True)
-            for chunk in chunks
+            pool.submit(solve_many, spec, chain, params, chunk) for chunk in chunks
         ]
         outcomes: list = []
         for future in futures:
@@ -205,7 +205,7 @@ def cmd_compare(args) -> int:
     nl_outcomes = solve_many(
         spec, scenario.chain,
         dataclasses.replace(params, trace_every=args.trace_every or params.n_max),
-        seeds, return_faults=True,
+        seeds,
     )
     nl_losses = np.array(
         [
@@ -263,11 +263,7 @@ def cmd_plot(args) -> int:
     run_path = Path(args.run)
     try:
         trace_path = run_path.parent / doc["trace_csv"]
-        limits = doc.get("joint_limits")
-        chain = ChainModel(
-            tuple(doc["link_lengths"]),
-            joint_limits=None if limits is None else (limits["q_min"], limits["q_max"]),
-        )
+        chain = chain_from_doc(doc)
         posture = posture_svg(
             joint_positions(chain, doc["q0_deg"]),
             joint_positions(chain, doc["final_q_deg"]),

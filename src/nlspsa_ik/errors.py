@@ -12,9 +12,6 @@ class SolverFault(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
 
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.iteration))
-
 
 class ScenarioError(ValueError):
     """Base class for problems with scenario definitions."""

@@ -164,7 +164,10 @@ def solve(spec: ObjectiveSpec, chain: ChainModel, params: SolverParams) -> RunRe
     loss measurements each), and returns the final iterate. Raises
     :class:`SolverFault` if any loss measurement or iterate goes non-finite.
     """
-    return solve_many(spec, chain, params, [params.seed])[0]
+    outcome = solve_many(spec, chain, params, [params.seed])[0]
+    if isinstance(outcome, SolverFault):
+        raise outcome
+    return outcome
 
 
 def _block_length(n_seeds: int, n: int) -> int:
@@ -177,16 +180,14 @@ def solve_many(
     chain: ChainModel,
     params: SolverParams,
     seeds: Sequence[int],
-    return_faults: bool = False,
 ) -> list:
     """Run one solver instance per seed, batched over a shared iteration loop.
 
     Each seed owns an independent PRNG stream and every batch size runs the
     same arithmetic, so a seed's result is bit-identical whichever seeds
-    share its batch. With ``return_faults`` the result list carries the
-    :class:`SolverFault` for a failed seed in its slot (other seeds keep
-    running); otherwise the earliest fault is raised (the lowest seed index
-    on ties). ``elapsed`` is apportioned evenly across the batch.
+    share its batch. A failed seed's slot holds its :class:`SolverFault`
+    instead of a record, and the other seeds keep running. ``elapsed`` is
+    apportioned evenly across the batch.
 
     Each iteration only measures the two losses, takes the step, and stores
     the losses and the new iterate in per-block buffers. Finiteness checks,
@@ -291,8 +292,6 @@ def solve_many(
                 f"non-finite {what} at iteration {event_k[s]} (seed {seeds[s]})",
                 iteration=int(event_k[s]),
             )
-        if faulted.size and not return_faults:
-            raise faults[faulted[events[faulted].argmin()]]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         evaluate(hist[0], out=traces[0])

@@ -10,13 +10,17 @@ combined loss there.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import _pose_doc
+from .artifacts import (
+    _limits_doc,
+    _pose_doc,
+    chain_from_doc,
+    read_json_object,
+    write_json,
+)
 from .errors import ScenarioFormatError, ScenarioLookupError
 from .kinematics import DEG2RAD, ChainModel, Pose, forward_kinematics
 from .objective import ObjectiveSpec, _is_diagonal, combined_loss, default_r_ee
@@ -167,51 +171,28 @@ def save_scenario(scenario: Scenario, path) -> None:
             doc[f"{key}_diag"] = [float(v) for v in np.diag(matrix)]
         else:
             doc[key] = [[float(v) for v in row] for row in matrix]
-    if scenario.chain.joint_limits is not None:
-        q_min, q_max = scenario.chain.joint_limits
-        doc["joint_limits"] = {"q_min": list(q_min), "q_max": list(q_max)}
+    limits = _limits_doc(scenario.chain)
+    if limits is not None:
+        doc["joint_limits"] = limits
     doc["expected_initial_pose"] = _pose_doc(scenario.expected_initial_pose)
     doc["expected_initial_loss"] = scenario.expected_initial_loss
     if scenario.reported_final_loss is not None:
         doc["reported_final_loss"] = scenario.reported_final_loss
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
-def _require(doc: dict, field: str):
-    if field not in doc:
-        raise ScenarioFormatError(f"scenario file is missing field {field!r}")
-    return doc[field]
+def _parse_pose(node) -> Pose:
+    return Pose(float(node["x"]), float(node["y"]), float(node["theta_deg"]))
 
 
-def _parse_pose(node, field: str) -> Pose:
-    if not isinstance(node, dict):
-        raise ScenarioFormatError(f"field {field!r} must be an object")
-    try:
-        return Pose(float(node["x"]), float(node["y"]), float(node["theta_deg"]))
-    except KeyError as exc:
-        raise ScenarioFormatError(f"field {field!r} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"bad {field!r}: {exc}") from None
-
-
-def _parse_matrix(doc: dict, key: str, dim: int) -> np.ndarray:
-    if f"{key}_diag" in doc and key in doc:
-        raise ScenarioFormatError(f"give either {key!r} or '{key}_diag', not both")
-    if f"{key}_diag" in doc:
-        diag = np.asarray(doc[f"{key}_diag"], dtype=float)
-        if diag.shape != (dim,):
-            raise ScenarioFormatError(
-                f"'{key}_diag' must have {dim} entries, got {diag.shape}"
-            )
-        return np.diag(diag)
+def _parse_matrix(doc: dict, key: str) -> np.ndarray:
+    """The row-major matrix ``doc[key]``, or the diagonal matrix of
+    ``doc[key + '_diag']``; :class:`ObjectiveSpec` checks its shape."""
+    if f"{key}_diag" not in doc:
+        return np.asarray(doc[key], dtype=float)
     if key in doc:
-        matrix = np.asarray(doc[key], dtype=float)
-        if matrix.shape != (dim, dim):
-            raise ScenarioFormatError(
-                f"{key!r} must be a {dim}x{dim} row-major matrix, got {matrix.shape}"
-            )
-        return matrix
-    raise ScenarioFormatError(f"scenario file needs {key!r} or '{key}_diag'")
+        raise ValueError(f"give either {key!r} or '{key}_diag', not both")
+    return np.diag(np.asarray(doc[f"{key}_diag"], dtype=float))
 
 
 def load_scenario(path) -> Scenario:
@@ -221,54 +202,30 @@ def load_scenario(path) -> Scenario:
     r_ee or r_ee_diag, q_jmc or q_jmc_diag, w_jmc, w_ee. Optional:
     joint_limits {q_min, q_max}, expected_initial_pose,
     expected_initial_loss, reported_final_loss (the expectations are
-    computed from the data when absent).
+    computed from the data when absent). Any problem is a
+    :class:`ScenarioFormatError` naming the file.
     """
-    path = Path(path)
+    doc = read_json_object(path, ScenarioFormatError)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError(f"{path}: top-level value must be an object")
-
-    scenario_id = str(_require(doc, "id"))
-    limits = None
-    if "joint_limits" in doc:
-        node = doc["joint_limits"]
-        try:
-            limits = (tuple(node["q_min"]), tuple(node["q_max"]))
-        except (TypeError, KeyError) as exc:
-            raise ScenarioFormatError(
-                f"bad 'joint_limits': needs q_min and q_max lists ({exc})"
-            ) from None
-    try:
-        chain = ChainModel(tuple(_require(doc, "link_lengths")), joint_limits=limits)
-        reference = np.asarray(_require(doc, "q0_deg"), dtype=float)
+        scenario_id = str(doc["id"])
+        chain = chain_from_doc(doc)
         spec = ObjectiveSpec(
-            target=_parse_pose(_require(doc, "target"), "target"),
-            reference=reference,
-            r_ee=_parse_matrix(doc, "r_ee", 3),
-            q_jmc=_parse_matrix(doc, "q_jmc", reference.size),
-            w_jmc=float(_require(doc, "w_jmc")),
-            w_ee=float(_require(doc, "w_ee")),
+            reference=doc["q0_deg"],
+            target=_parse_pose(doc["target"]),
+            r_ee=_parse_matrix(doc, "r_ee"),
+            q_jmc=_parse_matrix(doc, "q_jmc"),
+            w_jmc=float(doc["w_jmc"]),
+            w_ee=float(doc["w_ee"]),
         )
-    except ScenarioFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from None
-
-    if "expected_initial_pose" in doc:
-        pose = _parse_pose(doc["expected_initial_pose"], "expected_initial_pose")
-    else:
-        pose = forward_kinematics(chain, spec.reference)
-    if "expected_initial_loss" in doc:
-        initial_loss = float(doc["expected_initial_loss"])
-    else:
-        initial_loss = combined_loss(spec, chain, spec.reference)
-    reported = doc.get("reported_final_loss")
-    try:
+        if "expected_initial_pose" in doc:
+            pose = _parse_pose(doc["expected_initial_pose"])
+        else:
+            pose = forward_kinematics(chain, spec.reference)
+        if "expected_initial_loss" in doc:
+            initial_loss = float(doc["expected_initial_loss"])
+        else:
+            initial_loss = combined_loss(spec, chain, spec.reference)
+        reported = doc.get("reported_final_loss")
         return Scenario(
             id=scenario_id,
             chain=chain,
@@ -277,5 +234,7 @@ def load_scenario(path) -> Scenario:
             expected_initial_loss=initial_loss,
             reported_final_loss=None if reported is None else float(reported),
         )
-    except ScenarioFormatError as exc:
+    except KeyError as exc:
+        raise ScenarioFormatError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from None

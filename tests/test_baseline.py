@@ -40,6 +40,10 @@ class TestPsoParamsValidation:
         with pytest.raises(ValueError):
             PsoParams(init_spread=-1.0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            PsoParams(seed=-1)
+
 
 class TestPsoSolve:
     def test_sphere_sanity(self):

@@ -112,6 +112,44 @@ class TestRunCommand:
         assert excinfo.value.code == 2
 
 
+def _edited_scenario_file(tmp_path, **fields):
+    """1.1 saved to a file, with ``fields`` set in its JSON document."""
+    path = tmp_path / "edited.json"
+    save_scenario(builtin("1.1"), path)
+    doc = json.loads(path.read_text())
+    doc.update(fields)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("expected_initial_loss", None, ""),
+        ("expected_initial_loss", "abc", ""),
+        ("reported_final_loss", [1], ""),
+        ("reported_final_loss", "abc", ""),
+        # the reference's own check fails, not q_jmc's shape check
+        ("q0_deg", None, "reference configuration"),
+    ],
+)
+def test_ill_typed_scenario_field_is_a_scenario_error(
+    tmp_path, capsys, field, value, named
+):
+    path = _edited_scenario_file(tmp_path, **{field: value})
+    assert run_cli("run", "--scenario", path, "--n-max", "5", "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and str(path) in err and named in err
+
+
+def test_scenario_file_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run_cli("run", "--scenario", path, "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and str(path) in err
+
+
 @pytest.mark.parametrize("command", ["sweep", "compare"])
 def test_stop_loss_without_trace_every_is_a_usage_error(command, tmp_path, capsys):
     code = run_cli(
@@ -375,9 +413,9 @@ class TestCompareCommand:
         calls = []
         solve_many, pso_solve = cli.solve_many, cli.pso_solve
 
-        def recording_solve_many(spec, chain, params, seeds, return_faults=False):
+        def recording_solve_many(spec, chain, params, seeds):
             calls.append(("nlspsa", params.n_max, params.trace_every))
-            return solve_many(spec, chain, params, seeds, return_faults)
+            return solve_many(spec, chain, params, seeds)
 
         def recording_pso_solve(spec, chain, params):
             calls.append(("pso", params.eval_budget))
@@ -496,6 +534,21 @@ class TestPlotCommand:
         assert run_cli("plot", "--run", bad, "--out", tmp_path) == 4
         assert "not a JSON object" in capsys.readouterr().err
 
+    def test_run_json_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert run_cli("plot", "--run", bad, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(bad) in err
+
+    def test_trace_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        result = self._make_run(tmp_path)
+        trace = tmp_path / "run_1.7_seed1.csv"
+        trace.write_bytes(b"iteration,loss\n0,\xff\n")
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(trace) in err
+
 
 class TestSvgRendering:
     def test_zero_iteration_polylines_coincide(self):
@@ -536,6 +589,15 @@ class TestSvgRendering:
     def test_convergence_rejects_empty(self):
         with pytest.raises(ValueError):
             convergence_svg(np.array([]), np.array([]))
+
+    def test_convergence_flat_trace_spans_one_decade(self):
+        # Every loss is 1e0, so the axis would span no decade at all.
+        root = ET.fromstring(convergence_svg(np.arange(3), np.ones(3)))
+        labels = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert "1e0" in labels and "1e1" in labels
+        line = next(el for el in root.iter() if el.tag.endswith("polyline"))
+        ys = {float(p.split(",")[1]) for p in line.get("points").split()}
+        assert len(ys) == 1 and np.isfinite(list(ys)).all()
 
 
 def _limited_scenario_file(tmp_path):

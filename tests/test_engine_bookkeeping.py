@@ -242,9 +242,9 @@ def injecting(monkeypatch, plan):
     monkeypatch.setattr(LossEvaluator, "evaluate_many", evaluate_many)
 
 
-def run_batch(params, return_faults=True):
+def run_batch(params):
     scenario = builtin("1.1")
-    return solve_many(scenario.spec, scenario.chain, params, SEEDS, return_faults)
+    return solve_many(scenario.spec, scenario.chain, params, SEEDS)
 
 
 @pytest.mark.parametrize("measurement", ["plus", "minus"])
@@ -298,21 +298,6 @@ def test_stop_at_a_large_step_matches_oracle(monkeypatch):
     assert got[1].max_step_inf > 10 * max(got[s].max_step_inf for s in (0, 2, 3))
     for g, w in zip(got, want, strict=True):
         assert_same_outcome(g, w)
-
-
-def test_raises_the_earliest_fault(monkeypatch):
-    params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
-    # seed 3 faults first (iteration 700); seeds 0 and 2 tie later (901)
-    plan = {2 * 901 - 1: {0: np.nan, 2: np.nan}, 2 * INJECT_AT: {3: np.inf}}
-    injecting(monkeypatch, plan)
-    with pytest.raises(SolverFault) as excinfo:
-        run_batch(params, return_faults=False)
-    assert excinfo.value.iteration == INJECT_AT
-    assert str(excinfo.value) == f"non-finite loss at iteration {INJECT_AT} (seed 3)"
-
-    injecting(monkeypatch, {2 * 901 - 1: {2: np.nan, 1: np.nan}})
-    with pytest.raises(SolverFault, match=r"at iteration 901 \(seed 1\)"):
-        run_batch(params, return_faults=False)
 
 
 def test_non_finite_traced_loss_faults_at_trace_point(monkeypatch):
@@ -441,7 +426,7 @@ def test_block_length_does_not_change_outcomes(monkeypatch, case):
     def run():
         if plan is not None:
             injecting(monkeypatch, plan)
-        return solve_many(spec, chain, params, SEEDS, return_faults=True)
+        return solve_many(spec, chain, params, SEEDS)
 
     assert optimizer._block_length(len(SEEDS), chain.n) == 512
     want = run()

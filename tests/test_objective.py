@@ -71,6 +71,30 @@ class TestObjectiveSpecValidation:
                 q_jmc=np.eye(3),
             )
 
+    def test_rejects_non_finite_matrix(self):
+        bad = default_r_ee()
+        bad[2, 2] = np.nan
+        with pytest.raises(ValueError, match="r_ee must be finite"):
+            ObjectiveSpec(
+                target=Pose(1, 0, 0), reference=np.zeros(2), r_ee=bad, q_jmc=np.eye(2)
+            )
+
+    @pytest.mark.parametrize(
+        "reference, message",
+        [
+            (np.zeros((2, 2)), "must be a 1-D vector"),
+            ([0.0, np.inf], "must be finite"),
+        ],
+    )
+    def test_rejects_bad_reference(self, reference, message):
+        with pytest.raises(ValueError, match=f"reference configuration {message}"):
+            ObjectiveSpec(
+                target=Pose(1, 0, 0),
+                reference=reference,
+                r_ee=default_r_ee(),
+                q_jmc=np.eye(2),
+            )
+
     def test_normalized_weights(self):
         spec = bent_eight_spec()
         assert spec.w_jmc_norm == pytest.approx(1 / 51)
@@ -133,6 +157,12 @@ class TestJointMotionCost:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             joint_motion_cost(bent_eight_spec(), np.zeros(5))
+
+    def test_rows_of_joint_vectors_rejected(self):
+        # (2, 8) broadcasts against the reference, so only the shape check
+        # stops it.
+        with pytest.raises(ValueError, match=r"shape \(2, 8\), expected \(8,\)"):
+            joint_motion_cost(bent_eight_spec(), np.zeros((2, 8)))
 
 
 class TestCombinedLoss:
@@ -369,6 +399,20 @@ class TestLossEvaluatorBuffers:
         assert evaluator.evaluate_many(configs, out=out) is out
         assert np.array_equal(out, np.full(4, combined_loss(spec, CHAIN8, spec.reference)))
         assert evaluator.calls == 4
+
+    def test_buffers_evicted_after_eight_row_counts(self):
+        spec = bent_eight_spec()
+        shared = LossEvaluator(spec, CHAIN8)
+        rng = np.random.default_rng(14)
+        kept = []
+        for m in range(1, 12):
+            configs = spec.reference + rng.uniform(-45, 45, size=(m, 8))
+            got = shared.evaluate_many(configs)
+            assert np.array_equal(got, LossEvaluator(spec, CHAIN8).evaluate_many(configs))
+            kept.append((got, got.copy()))
+            assert len(shared._work) <= 8
+        for got, copy in kept:
+            assert np.array_equal(got, copy)
 
 
 class _CountingNumpy:

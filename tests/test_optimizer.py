@@ -135,6 +135,10 @@ class TestSpsaGradient:
         with pytest.raises(ValueError):
             spsa_gradient(lambda q: 0.0, np.zeros(2), 0.0, np.ones(2))
 
+    def test_rejects_delta_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"delta shape \(3,\) != phi shape \(2,\)"):
+            spsa_gradient(lambda q: 0.0, np.zeros(2), 0.1, np.ones(3))
+
     def test_non_finite_loss_is_a_fault(self):
         with pytest.raises(SolverFault):
             spsa_gradient(lambda q: math.inf, np.zeros(2), 0.1, np.ones(2))
@@ -326,7 +330,7 @@ class TestSolve:
     def test_solve_many_collects_faults(self):
         spec, chain = quadratic_scenario()
         params = SolverParams(variant="spsa", a=1e200, n_max=60, seed=0)
-        outcomes = solve_many(spec, chain, params, [0, 1], return_faults=True)
+        outcomes = solve_many(spec, chain, params, [0, 1])
         assert all(isinstance(o, SolverFault) for o in outcomes)
 
     def test_solve_many_empty_seed_list(self):

@@ -65,6 +65,17 @@ class TestBuiltins:
                 expected_initial_loss=s.expected_initial_loss,
             )
 
+    def test_tampered_initial_loss_rejected(self):
+        s = builtin("1.1")
+        with pytest.raises(ScenarioFormatError, match="initial loss 0.140"):
+            Scenario(
+                id=s.id,
+                chain=s.chain,
+                spec=s.spec,
+                expected_initial_pose=s.expected_initial_pose,
+                expected_initial_loss=s.expected_initial_loss + 1e-4,
+            )
+
 
 class TestScenarioFiles:
     @pytest.mark.parametrize("sid", ["1.1", "1.6", "2.3"])
