@@ -91,11 +91,11 @@ def end_effector_cost(spec: ObjectiveSpec, chain: ChainModel, q) -> float:
 
 def joint_motion_cost(spec: ObjectiveSpec, q) -> float:
     """Displacement cost: quadratic form of (q - reference) under q_jmc."""
-    dq = np.asarray(q, dtype=float) - spec.reference
-    if dq.shape != spec.reference.shape:
+    if np.shape(q) != spec.reference.shape:
         raise ValueError(
             f"joint vector has shape {np.shape(q)}, expected {spec.reference.shape}"
         )
+    dq = np.asarray(q, dtype=float) - spec.reference
     return float(dq @ spec.q_jmc @ dq)
 
 
@@ -145,10 +145,6 @@ class LossEvaluator:
         r, qm = spec.r_ee, spec.q_jmc
         self._r_col = np.diag(r)[:, None].copy() if _is_diagonal(r) else None
         self._r_full = None if self._r_col is not None else r
-        # The same constants as Python floats, for the one-row finish.
-        self._row_consts = None if self._r_col is None else tuple(
-            np.concatenate([self._target, self._r_col, self._weights]).ravel().tolist()
-        )
         self._q_full = None if _is_diagonal(qm) else qm
         # Row sums taken by the one vecdot: [dq^2 . q_diag, cos . L, sin . L],
         # or only the last two when q_jmc is a full matrix.
@@ -164,16 +160,15 @@ class LossEvaluator:
     def _buffers(self, m: int) -> tuple:
         # ang (m, n); w (3, m, n) = [dq, cos, sin]; r (4, m) = [jjmc, x, y,
         # theta], where x, y, theta become the pose error in place and r[1]
-        # then holds jee; terms (3, m) for the weighted squared errors; r[:, 0]
-        # for reading one row's r as Python floats.
+        # then holds jee; terms (3, m) for the weighted squared errors.
         n = self._q0.size
         ang, w = np.empty((m, n)), np.empty((3, m, n))
         r, terms = np.empty((4, m)), np.empty((3, m))
-        if len(self._work) >= 8:  # callers use one to three row counts
+        if len(self._work) >= 8:  # the engine uses a few row counts per run
             self._work.clear()
         self._work[m] = work = (
             ang, w[0], w[1], w[2], w[self._sum_from :], r[self._sum_from : 3],
-            r[0], r[1], r[3], r[1:], r[:2], terms, r[:, 0],
+            r[0], r[1], r[3], r[1:], r[:2], terms,
         )
         return work
 
@@ -182,16 +177,13 @@ class LossEvaluator:
 
         Every row goes through the same arithmetic whatever ``m`` is: the
         row sums use ``np.vecdot``, whose per-row reduction does not depend
-        on the row count (a BLAS matrix-vector product does). With one row
-        and a diagonal ``r_ee``, the loss is finished on Python floats,
-        whose operations are the same IEEE operations in the same order as
-        the array tail, so the value is bit-identical to a batched row. The
-        result is written to ``out`` when given, else to a new array.
+        on the row count (a BLAS matrix-vector product does). The result is
+        written to ``out`` when given, else to a new array.
         """
         m = configs.shape[0]
         self.calls += m
         work = self._work.get(m) or self._buffers(m)
-        ang, dq, cos, sin, stacked, sums, jjmc, jee, theta, err, blend, terms, first = work
+        ang, dq, cos, sin, stacked, sums, jjmc, jee, theta, err, blend, terms = work
         # Ufuncs are called directly, outputs passed by position: cumsum,
         # sum and the in-place operators are slower routes to the same loops.
         np.add.accumulate(configs, 1, None, ang)
@@ -205,17 +197,6 @@ class LossEvaluator:
             np.einsum("ij,jk,ik->i", dq, self._q_full, dq, out=jjmc)
         np.vecdot(stacked, self._sum_weights, sums)
         np.add.reduce(configs, 1, None, theta)
-        if m == 1 and self._row_consts is not None:
-            # Dispatching the ufuncs below costs about 1 us each at one row;
-            # Python's float % is fmod-and-adjust, as np.remainder is.
-            tx, ty, tt, r0, r1, r2, w0, w1 = self._row_consts
-            j, x, y, t = first.tolist()  # jjmc, x, y, theta
-            ex, ey, et = tx - x, ty - y, tt - t % 360.0 % 360.0
-            value = w0 * j + w1 * (r0 * ex * ex + r1 * ey * ey + r2 * et * et)
-            if out is None:
-                return np.array([value])
-            out[0] = value
-            return out
         # A tiny negative total has remainder 360.0 after rounding; the
         # second remainder maps it to 0 and leaves [0, 360) unchanged.
         np.remainder(theta, 360.0, theta)

@@ -32,8 +32,10 @@ VARIANTS = ("nlspsa", "spsa")
 _BLOCK_VALUES = 1 << 16
 _BLOCK_MIN = 128
 _BLOCK_MAX = 512
-# Iterations per slice when a block's iterate history is scanned, so that the
-# scan's work buffers stay a fraction of the history buffer.
+# Iterations per slice of a block. Each slice's traced iterates are evaluated
+# in one call and the settle pass scans the history by slices, so their work
+# buffers stay a fraction of the history buffer. With stop_loss, a batch ends
+# after the slice in which its last running seed reached it.
 _SCAN_ROWS = 64
 # What can end a seed's run at iteration k, in the order the checks apply
 # there. A block's events are ranked by 4*k + kind.
@@ -189,12 +191,14 @@ def solve_many(
     instead of a record, and the other seeds keep running. ``elapsed`` is
     apportioned evenly across the batch.
 
-    Each iteration only measures the two losses, takes the step, and stores
-    the losses and the new iterate in per-block buffers. Finiteness checks,
-    the step bound and ``stop_loss`` are settled once per block from those
-    buffers, with the same outcome, down to the fault iteration, as checking
-    after every iteration. A record's initial, final and best loss are read
-    from its trace, whose values are all finite.
+    Each iteration only measures the two losses, in one loss call on every
+    seed's stacked plus and minus configurations, takes the step, and stores
+    the losses and the new iterate in per-block buffers. The traced iterates
+    of each slice of ``_SCAN_ROWS`` iterations are evaluated in one call.
+    Finiteness checks, the step bound and ``stop_loss`` are settled once per
+    block from those buffers, with the same outcome, down to the fault
+    iteration, as checking after every iteration. A record's initial, final
+    and best loss are read from its trace, whose values are all finite.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -224,10 +228,15 @@ def solve_many(
     block = _block_length(n_seeds, n)
     hist = np.empty((block + 1, n_seeds, n))
     hist[0] = spec.reference
-    loss_plus = np.empty((block, n_seeds))
-    loss_minus = np.empty((block, n_seeds))
+    # Each iteration measures its plus and its minus configurations in one
+    # call: configs stacks them, and measured[j] holds their losses.
+    configs = np.empty((2 * n_seeds, n))
+    plus_configs, minus_configs = configs[:n_seeds], configs[n_seeds:]
+    measured = np.empty((block, 2 * n_seeds))
+    loss_plus, loss_minus = measured[:, :n_seeds], measured[:, n_seeds:]
     # row views made once, so the loop does not index the buffers
-    hist_rows, plus_rows, minus_rows = list(hist), list(loss_plus), list(loss_minus)
+    hist_rows, measured_rows = list(hist), list(measured)
+    plus_rows, minus_rows = list(loss_plus), list(loss_minus)
     finite_buf = np.empty((_SCAN_ROWS, n_seeds, n), dtype=bool)
     step_buf = np.empty((_SCAN_ROWS, n_seeds, n))
 
@@ -295,10 +304,8 @@ def solve_many(
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         evaluate(hist[0], out=traces[0])
-        # Seeds known to be done once stop_loss is in use; when all of them
-        # are, the block ends at that trace point.
-        reached = None if stop_loss is None else traces[0] <= stop_loss
         slot = 0  # the first trace point not yet settled
+        traced = 1  # the first trace point not yet evaluated
         for block_start in range(0, n_iter, block):
             if not active.any():
                 break
@@ -313,36 +320,40 @@ def solve_many(
             ks = np.arange(block_start + 1, block_start + block_len + 1)
             a_block = (params.a / (params.A + ks) ** params.alpha).tolist()
             c_block = (params.c / ks**params.gamma).tolist()
-            # trace_out[j] receives the loss at the iterate hist[j], if traced
-            trace_out = [None] * (block_len + 1)
-            for i in range(max(slot, 1), np.searchsorted(trace_ks, ks[-1], "right")):
-                trace_out[trace_ks[i] - block_start] = traces[i]
-            if reached is not None:
-                reached |= ~active
 
-            for j in range(block_len):
-                c_k = c_block[j]
-                phi = hist_rows[j]
-                new_phi = hist_rows[j + 1]  # holds this iteration's delta
-                perturbation = c_k * new_phi
-                plus = evaluate(phi + perturbation, out=plus_rows[j])
-                minus = evaluate(phi - perturbation, out=minus_rows[j])
-                # delta is +-1, so a_k * spsa_gradient(...) is +-factor in
-                # every component, and saturating the factor saturates each
-                # component of the update.
-                factor = a_block[j] * _estimate(plus, minus, c_k)
-                if d is not None:
-                    factor = saturate(factor, d)
-                np.subtract(phi, factor[:, None] * new_phi, out=new_phi)
-                if limits is not None:
-                    np.clip(new_phi, q_lo, q_hi, out=new_phi)
-                if trace_out[j + 1] is not None:
-                    traced = evaluate(new_phi, out=trace_out[j + 1])
-                    if reached is not None:
-                        reached |= traced <= stop_loss
-                        if reached.all():
-                            block_len = j + 1
-                            break
+            for lo in range(0, block_len, _SCAN_ROWS):
+                hi = min(lo + _SCAN_ROWS, block_len)
+                for j in range(lo, hi):
+                    c_k = c_block[j]
+                    phi = hist_rows[j]
+                    new_phi = hist_rows[j + 1]  # holds this iteration's delta
+                    perturbation = c_k * new_phi
+                    np.add(phi, perturbation, out=plus_configs)
+                    np.subtract(phi, perturbation, out=minus_configs)
+                    evaluate(configs, out=measured_rows[j])
+                    # delta is +-1, so a_k * spsa_gradient(...) is +-factor
+                    # in every component, and saturating the factor
+                    # saturates each component of the update.
+                    factor = a_block[j] * _estimate(plus_rows[j], minus_rows[j], c_k)
+                    if d is not None:
+                        factor = saturate(factor, d)
+                    np.subtract(phi, factor[:, None] * new_phi, out=new_phi)
+                    if limits is not None:
+                        np.clip(new_phi, q_lo, q_hi, out=new_phi)
+                # the slice's trace points, in one call
+                upto = np.searchsorted(trace_ks, block_start + hi, "right")
+                if upto > traced:
+                    rows = hist[trace_ks[traced:upto] - block_start]
+                    evaluate(rows.reshape(-1, n), out=traces[traced:upto].reshape(-1))
+                    traced = upto
+                if stop_loss is not None:
+                    # once every running seed has reached stop_loss, the
+                    # block ends with this slice; settle_block finds each
+                    # seed's stop
+                    reached = (traces[slot:traced] <= stop_loss).any(axis=0)
+                    if (reached | ~active).all():
+                        block_len = hi
+                        break
 
             settled = np.searchsorted(trace_ks, block_start + block_len, "right")
             settle_block(block_start, block_len, slice(slot, settled))

@@ -57,6 +57,10 @@ class Scenario:
                 f"scenario {self.id!r}: initial pose {pose} does not match "
                 f"encoded {self.expected_initial_pose}"
             )
+        for name in ("expected_initial_loss", "reported_final_loss"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ScenarioFormatError(f"scenario {self.id!r}: {name} is {value}")
         loss = combined_loss(self.spec, self.chain, self.spec.reference)
         if abs(loss - self.expected_initial_loss) > LOSS_TOLERANCE:
             raise ScenarioFormatError(

@@ -183,7 +183,7 @@ PSO_SETTINGS = {
     "default": {},
     "truncated last generation": {"eval_budget": 1050},
     "no initial spread": {"init_spread": 0.0},
-    # 500 generations, the last of them one row (the evaluator's one-row path)
+    # 500 generations, the last of them a one-row loss call
     "population 7": {"population": 7, "eval_budget": 7 * 500 + 1},
 }
 

@@ -129,6 +129,8 @@ def _edited_scenario_file(tmp_path, **fields):
         ("expected_initial_loss", "abc", ""),
         ("reported_final_loss", [1], ""),
         ("reported_final_loss", "abc", ""),
+        ("expected_initial_loss", float("nan"), "expected_initial_loss is nan"),
+        ("reported_final_loss", float("nan"), "reported_final_loss is nan"),
         # the reference's own check fails, not q_jmc's shape check
         ("q0_deg", None, "reference configuration"),
     ],

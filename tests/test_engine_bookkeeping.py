@@ -177,6 +177,9 @@ def assert_same_outcome(got, want):
         ([0, 1, 2, 3], {"stop_loss": 5e-3, "trace_every": 7}),
         # ... or inside the first block (iterations 210-253)
         ([0, 1, 2, 3], {"stop_loss": 0.05}),
+        # ... or in different slices of the second and third blocks
+        # (iterations 945-1060), traced at points that do not divide a slice
+        (range(8), {"stop_loss": 2e-3, "trace_every": 5}),
     ],
 )
 def test_engine_matches_per_iteration_oracle(seeds, overrides):
@@ -192,8 +195,10 @@ def test_engine_matches_per_iteration_oracle(seeds, overrides):
 
 
 def test_batch_ends_when_every_seed_has_stopped(monkeypatch):
-    # Seeds 0-3 stop at iterations 210-253, inside the first block; neither
-    # loop measures beyond the last of them.
+    # Seeds 0-3 stop at iterations 210-253, inside the first block. The
+    # oracle measures through the last of them; the engine through the end
+    # of the slice that holds it, iteration 256, and no further: the initial
+    # trace point, one call per iteration and one per slice's trace points.
     scenario = builtin("1.1")
     params = SolverParams(stop_loss=0.05)
     calls = []
@@ -208,7 +213,31 @@ def test_batch_ends_when_every_seed_has_stopped(monkeypatch):
     calls.clear()
     reference_solve_many(scenario.spec, scenario.chain, params, SEEDS)
     last = max(g.iterations for g in got)
-    assert engine_calls == len(calls) == 1 + 3 * last
+    slice_end = -(-last // optimizer._SCAN_ROWS) * optimizer._SCAN_ROWS
+    assert slice_end == 256
+    assert engine_calls == 1 + slice_end + slice_end // optimizer._SCAN_ROWS
+    assert len(calls) == 1 + 3 * last
+
+
+def test_one_loss_call_per_iteration_and_per_traced_slice(monkeypatch):
+    # n_max is a multiple of neither the block nor the slice: blocks of 512,
+    # 512 and 76 iterations hold 8, 8 and 2 slices, and every slice holds
+    # trace points. No call has more rows than a slice's iterates, so the
+    # loss's work buffers stay the size of the settle scan's.
+    scenario = builtin("1.1")
+    params = SolverParams(n_max=1100)
+    seeds = [0, 1, 2]
+    rows = []
+
+    def counting(self, configs, out=None):
+        rows.append(len(configs))
+        return EVALUATE_MANY(self, configs, out=out)
+
+    monkeypatch.setattr(LossEvaluator, "evaluate_many", counting)
+    records = solve_many(scenario.spec, scenario.chain, params, seeds)
+    assert all(r.iterations == params.n_max for r in records)
+    assert len(rows) == params.n_max + 1 + 18
+    assert max(rows) == optimizer._SCAN_ROWS * len(seeds)
 
 
 def test_single_seed_solve_matches_oracle():
@@ -226,16 +255,68 @@ SEEDS = [0, 1, 2, 3]
 EVALUATE_MANY = LossEvaluator.evaluate_many
 
 
-def injecting(monkeypatch, plan):
-    """Replace evaluate_many's result rows as ``plan`` says: call index ->
-    {row: value}. Until the first trace point after 0, iteration k measures
-    at calls 2k-1 (plus) and 2k (minus); call 0 is the initial point."""
+def trace_points(params):
+    return set(range(0, params.n_max + 1, params.trace_every)) | {params.n_max}
+
+
+def engine_positions(params, n_seeds=len(SEEDS), n=8):
+    """(iteration, "plus" | "minus" | "trace", seed) -> (call index, row) in
+    the engine, for run_batch's batch by default. Call 0 is the initial
+    trace point. Each iteration makes one call, whose rows are every seed's
+    plus and then every seed's minus configuration. After each slice of a
+    block, one call evaluates the slice's trace points, seed by seed within
+    each point."""
+    traced = trace_points(params)
+    block = optimizer._block_length(n_seeds, n)
+    where = {(0, "trace", s): (0, s) for s in range(n_seeds)}
+    call = 0
+    for block_start in range(0, params.n_max, block):
+        block_end = min(block_start + block, params.n_max)
+        for lo in range(block_start, block_end, optimizer._SCAN_ROWS):
+            hi = min(lo + optimizer._SCAN_ROWS, block_end)
+            for k in range(lo + 1, hi + 1):
+                call += 1
+                for s in range(n_seeds):
+                    where[k, "plus", s] = (call, s)
+                    where[k, "minus", s] = (call, n_seeds + s)
+            slice_ks = [k for k in range(lo + 1, hi + 1) if k in traced]
+            if slice_ks:
+                call += 1
+                for i, k in enumerate(slice_ks):
+                    for s in range(n_seeds):
+                        where[k, "trace", s] = (call, i * n_seeds + s)
+    return where
+
+
+def oracle_positions(params, n_seeds=len(SEEDS)):
+    """The same map for reference_solve_many: call 0 is the initial trace
+    point, and iteration k makes a plus call, a minus call and, at a trace
+    point, a trace call, each with one row per seed."""
+    traced = trace_points(params)
+    where = {(0, "trace", s): (0, s) for s in range(n_seeds)}
+    call = 0
+    for k in range(1, params.n_max + 1):
+        for kind in ("plus", "minus", "trace") if k in traced else ("plus", "minus"):
+            call += 1
+            for s in range(n_seeds):
+                where[k, kind, s] = (call, s)
+    return where
+
+
+def injecting(monkeypatch, plan, positions):
+    """Replace evaluate_many's result rows as ``plan`` says: (iteration,
+    "plus" | "minus" | "trace", seed) -> value, at the call and row that
+    ``positions`` maps each key to."""
     original = EVALUATE_MANY
+    at_call = {}
+    for key, value in plan.items():
+        call, row = positions[key]
+        at_call.setdefault(call, {})[row] = value
     calls = iter(range(10**9))
 
     def evaluate_many(self, configs, out=None):
         values = original(self, configs, out=out)
-        for row, value in plan.get(next(calls), {}).items():
+        for row, value in at_call.get(next(calls), {}).items():
             values[row] = value
         return values
 
@@ -251,8 +332,7 @@ def run_batch(params):
 def test_nan_loss_mid_block_faults_at_its_iteration(monkeypatch, measurement):
     params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
     clean = run_batch(params)
-    call = 2 * INJECT_AT - (measurement == "plus")
-    injecting(monkeypatch, {call: {1: np.nan}})
+    injecting(monkeypatch, {(INJECT_AT, measurement, 1): np.nan}, engine_positions(params))
     outcomes = run_batch(params)
     fault = outcomes[1]
     assert isinstance(fault, SolverFault)
@@ -270,7 +350,8 @@ def test_non_finite_iterate_is_named_as_such(monkeypatch):
     params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, variant="spsa")
     clean = run_batch(params)
     k = INJECT_AT
-    injecting(monkeypatch, {2 * k - 1: {2: 1e308, 0: np.nan}, 2 * k: {2: -1e308}})
+    plan = {(k, "plus", 2): 1e308, (k, "plus", 0): np.nan, (k, "minus", 2): -1e308}
+    injecting(monkeypatch, plan, engine_positions(params))
     outcomes = run_batch(params)
     assert (str(outcomes[0]), outcomes[0].iteration) == (
         f"non-finite loss at iteration {k} (seed 0)", k
@@ -289,10 +370,10 @@ def test_stop_at_a_large_step_matches_oracle(monkeypatch):
         n_max=N_MAX, trace_every=INJECT_AT, variant="spsa", a=1e-3, stop_loss=1e-9
     )
     scenario = builtin("1.1")
-    plan = {2 * INJECT_AT - 1: {1: 1e3}, 2 * INJECT_AT + 1: {1: 0.0}}
-    injecting(monkeypatch, plan)
+    plan = {(INJECT_AT, "plus", 1): 1e3, (INJECT_AT, "trace", 1): 0.0}
+    injecting(monkeypatch, plan, engine_positions(params))
     got = run_batch(params)
-    injecting(monkeypatch, plan)
+    injecting(monkeypatch, plan, oracle_positions(params))
     want = reference_solve_many(scenario.spec, scenario.chain, params, SEEDS, True)
     assert got[1].iterations == INJECT_AT and got[1].final_loss == 0.0
     assert got[1].max_step_inf > 10 * max(got[s].max_step_inf for s in (0, 2, 3))
@@ -302,7 +383,8 @@ def test_stop_at_a_large_step_matches_oracle(monkeypatch):
 
 def test_non_finite_traced_loss_faults_at_trace_point(monkeypatch):
     params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
-    injecting(monkeypatch, {0: {2: np.nan}, 2 * N_MAX + 1: {1: np.nan}})
+    plan = {(0, "trace", 2): np.nan, (N_MAX, "trace", 1): np.nan}
+    injecting(monkeypatch, plan, engine_positions(params))
     outcomes = run_batch(params)
     assert (str(outcomes[2]), outcomes[2].iteration) == (
         "non-finite loss at iteration 0 (seed 2)", 0
@@ -421,11 +503,11 @@ def test_block_length_does_not_change_outcomes(monkeypatch, case):
         scenario = builtin("1.1")
         spec, chain = scenario.spec, scenario.chain
         params = SolverParams(n_max=N_MAX, trace_every=N_MAX)
-        plan = {2 * INJECT_AT: {1: np.nan}}
+        plan = {(INJECT_AT, "minus", 1): np.nan}
 
     def run():
         if plan is not None:
-            injecting(monkeypatch, plan)
+            injecting(monkeypatch, plan, engine_positions(params))
         return solve_many(spec, chain, params, SEEDS)
 
     assert optimizer._block_length(len(SEEDS), chain.n) == 512

@@ -67,8 +67,8 @@ class TestModFloor:
         assert pose.theta_deg == 0.0 and not np.signbit(pose.theta_deg)
 
     def test_bits_match_the_loss_wrap(self):
-        # the loss wraps theta as np.remainder twice (Python's float % in its
-        # one-row finish): the same IEEE operations, so the same bits
+        # mod_floor is Python's float % twice and the loss wraps theta as
+        # np.remainder twice: the same IEEE operations, so the same bits
         k = np.arange(-4, 5) * 360.0
         offsets = np.array([0.0, 1e-300, -1e-300, 1e-14, -1e-14, 1e-9, -1e-9,
                             0.5, -0.5, 180.0, -180.0, 359.999, -359.999])

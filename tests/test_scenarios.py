@@ -169,6 +169,17 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError, match="not both"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field", ["expected_initial_loss", "reported_final_loss"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_loss_rejected(self, tmp_path, field, value):
+        path = tmp_path / "loss.json"
+        save_scenario(builtin("1.1"), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value  # json writes NaN and Infinity, and reads them
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=f"{field} is {value}"):
+            load_scenario(path)
+
     def test_bad_theta_rejected(self, tmp_path):
         path = tmp_path / "theta.json"
         path.write_text(json.dumps({
