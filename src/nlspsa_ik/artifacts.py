@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ArtifactError
-from .kinematics import ChainModel, Pose
+from .kinematics import ChainModel, Pose, pose_error
 from .objective import ObjectiveSpec
 from .optimizer import RunRecord, SolverParams
 
@@ -146,10 +146,9 @@ class SweepReport:
                 continue
             rec: RunRecord = outcome
             final_losses[i] = rec.final_loss
-            pos_errors[i] = math.hypot(
-                target.x - rec.final_pose.x, target.y - rec.final_pose.y
-            )
-            theta_errors[i] = abs(target.theta_deg - rec.final_pose.theta_deg)
+            dx, dy, dtheta = pose_error(target, rec.final_pose)
+            pos_errors[i] = math.hypot(dx, dy)
+            theta_errors[i] = abs(dtheta)
             displacements[i] = np.abs(rec.final_iterate - spec.reference)
             wall_ms[i] = rec.elapsed * 1e3
         return cls(
@@ -302,6 +301,8 @@ def run_result_doc(
     re-run it: chain, objective, solver settings and the versions used."""
     from . import __version__
 
+    params_doc = asdict(params)
+    del params_doc["variant"]  # a top-level key
     return {
         "scenario_id": scenario_id,
         "seed": record.seed,
@@ -322,19 +323,7 @@ def run_result_doc(
         "iterations": record.iterations,
         "max_step_inf": record.max_step_inf,
         "elapsed_s": record.elapsed,
-        "params": {
-            "a": params.a,
-            "A": params.A,
-            "c": params.c,
-            "alpha": params.alpha,
-            "gamma": params.gamma,
-            "d": params.d,
-            "n_max": params.n_max,
-            "trace_every": params.trace_every,
-            "stop_loss": params.stop_loss,
-            "w_jmc": spec.w_jmc,
-            "w_ee": spec.w_ee,
-        },
+        "params": {**params_doc, "w_jmc": spec.w_jmc, "w_ee": spec.w_ee},
         "trace_csv": trace_csv,
         "versions": {"nlspsa_ik": __version__, "numpy": np.__version__},
     }

@@ -18,9 +18,18 @@ from .objective import LossEvaluator, ObjectiveSpec
 from .optimizer import RunRecord
 
 
+# The velocity update's constriction coefficients (Clerc and Kennedy 2002):
+# inertia w and the cognitive and social pulls c1 = c2.
+INERTIA = 0.7298
+COGNITIVE = 1.49618
+SOCIAL = 1.49618
+
+
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm size, evaluation budget, coefficients, and initialization.
+    """Swarm size, evaluation budget, initialization, and seed. The
+    velocity coefficients are the constants ``INERTIA``, ``COGNITIVE`` and
+    ``SOCIAL``.
 
     Particles start at the reference configuration plus a componentwise
     uniform offset in (-init_spread, +init_spread) degrees, with zero initial
@@ -30,9 +39,6 @@ class PsoParams:
 
     population: int = 100
     eval_budget: int = 50000
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
     init_spread: float = 20.0
     seed: int = 0
 
@@ -44,8 +50,6 @@ class PsoParams:
                 f"eval_budget ({self.eval_budget}) must cover one evaluation "
                 f"pass of the population ({self.population})"
             )
-        if not self.cognitive > 0 or not self.social > 0:
-            raise ValueError("cognitive and social coefficients must be positive")
         if self.init_spread < 0:
             raise ValueError(f"init_spread must be nonnegative, got {self.init_spread}")
         if self.seed < 0:
@@ -92,10 +96,10 @@ def pso_solve(spec: ObjectiveSpec, chain: ChainModel, params: PsoParams) -> RunR
             rng.random(out=randoms)
             # v = w*v + (c1*r_cog)*(pbest - x) + (c2*r_soc)*(gbest - x), in
             # place and in that order
-            velocities *= params.inertia
-            r_cog *= params.cognitive
+            velocities *= INERTIA
+            r_cog *= COGNITIVE
             velocities += np.multiply(r_cog, np.subtract(pbest_pos, positions, pull), pull)
-            r_soc *= params.social
+            r_soc *= SOCIAL
             velocities += np.multiply(r_soc, np.subtract(gbest_pos, positions, pull), pull)
             if spread > 0:
                 np.clip(velocities, -spread, spread, out=velocities)

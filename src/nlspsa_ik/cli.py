@@ -42,16 +42,6 @@ EXIT_SCENARIO = 3
 EXIT_IO = 4
 EXIT_FAULT = 5
 
-# The process pool and multiprocessing, which it imports, cost every command
-# start-up time and memory, so the first sweep that runs more than one worker
-# loads them (see _sweep_outcomes).
-ProcessPoolExecutor = None
-
-_SOLVER_FIELDS = (
-    "a", "A", "c", "alpha", "gamma", "d", "n_max", "variant",
-    "trace_every", "stop_loss",
-)
-
 
 def _resolve_scenario(token: str) -> Scenario:
     if token in builtin_ids():
@@ -73,13 +63,28 @@ def _effective_spec(scenario: Scenario, args) -> ObjectiveSpec:
     return dataclasses.replace(scenario.spec, **overrides)
 
 
-def _solver_params(args, seed: int) -> SolverParams:
-    kwargs = {
-        name: getattr(args, name)
-        for name in _SOLVER_FIELDS
-        if getattr(args, name) is not None
-    }
-    return SolverParams(seed=seed, **kwargs)
+def _solver_params(args) -> SolverParams:
+    """The solver options given on the command line, one per field of
+    ``SolverParams``; an option not given keeps the field's default."""
+    fields = (f.name for f in dataclasses.fields(SolverParams))
+    return SolverParams(
+        **{name: getattr(args, name) for name in fields if getattr(args, name) is not None}
+    )
+
+
+def _batch_params(args) -> SolverParams:
+    """The solver options of sweep and compare, which trace only at n-max
+    unless given --trace-every; so a stop loss without it would never be
+    checked mid-run, and is a usage error."""
+    if args.stop_loss is not None and args.trace_every is None:
+        raise ValueError(
+            f"--stop-loss needs --trace-every in {args.command}: the loss is "
+            "otherwise traced only at the last iteration"
+        )
+    params = _solver_params(args)
+    if args.trace_every is None:
+        params = dataclasses.replace(params, trace_every=params.n_max)
+    return params
 
 
 def _outdir(args) -> Path:
@@ -95,8 +100,8 @@ def _safe_name(s: str) -> str:
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
-    params = _solver_params(args, args.seed)
-    record = solve(spec, scenario.chain, params)
+    params = _solver_params(args)
+    record = solve(spec, scenario.chain, params, args.seed)
     out = _outdir(args)
     stem = f"run_{_safe_name(scenario.id)}_seed{args.seed}"
     write_trace_csv(out / f"{stem}.csv", record)
@@ -116,21 +121,18 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(jobs: int, n_seeds: int) -> int:
-    """Worker processes for a sweep: ``jobs``, but no more than the CPUs or
-    the seeds to share."""
+def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
+    """``solve_many`` over ``seeds``, split among ``jobs`` worker processes
+    but no more than the CPUs or the seeds to share. The process pool and
+    multiprocessing, which it imports, cost start-up time and memory, so
+    they load only when more than one worker runs."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    return max(1, min(jobs, os.cpu_count() or 1, n_seeds))
-
-
-def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
-    global ProcessPoolExecutor
-    jobs = _worker_count(jobs, len(seeds))
-    if jobs == 1:
+    jobs = min(jobs, os.cpu_count() or 1, len(seeds))
+    if jobs <= 1:
         return solve_many(spec, chain, params, seeds)
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [c.tolist() for c in np.array_split(np.asarray(seeds), jobs)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [
@@ -142,28 +144,13 @@ def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
     return outcomes
 
 
-def _require_trace_for_stop_loss(args) -> None:
-    """sweep and compare trace only at n-max unless told otherwise, so a
-    stop loss without --trace-every would never be checked mid-run."""
-    if args.stop_loss is not None and args.trace_every is None:
-        raise ValueError(
-            f"--stop-loss needs --trace-every in {args.command}: the loss is "
-            "otherwise traced only at the last iteration"
-        )
-
-
 def cmd_sweep(args) -> int:
-    _require_trace_for_stop_loss(args)
+    params = _batch_params(args)
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
-    params = _solver_params(args, seed=0)
     seeds = list(range(args.seeds))
     started = time.perf_counter()
-    outcomes = _sweep_outcomes(
-        spec, scenario.chain,
-        dataclasses.replace(params, trace_every=args.trace_every or params.n_max),
-        seeds, args.jobs,
-    )
+    outcomes = _sweep_outcomes(spec, scenario.chain, params, seeds, args.jobs)
     total_wall_ms = (time.perf_counter() - started) * 1e3
     report = SweepReport.from_outcomes(
         scenario.id, spec, seeds, outcomes, total_wall_ms=total_wall_ms
@@ -196,17 +183,12 @@ def _finished_median(losses: np.ndarray) -> float:
 
 
 def cmd_compare(args) -> int:
-    _require_trace_for_stop_loss(args)
+    params = _batch_params(args)
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
-    params = _solver_params(args, seed=0)
     budget = 2 * params.n_max
     seeds = list(range(args.seeds))
-    nl_outcomes = solve_many(
-        spec, scenario.chain,
-        dataclasses.replace(params, trace_every=args.trace_every or params.n_max),
-        seeds,
-    )
+    nl_outcomes = solve_many(spec, scenario.chain, params, seeds)
     nl_losses = np.array(
         [
             np.nan if isinstance(o, Exception) else o.final_loss

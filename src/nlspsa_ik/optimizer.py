@@ -45,7 +45,8 @@ _NO_EVENT = np.iinfo(np.int64).max  # ranks above every event
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Gain schedule, saturation bound, and budget for one solver run.
+    """Gain schedule, saturation bound, and budget, shared by every seed of
+    a run or batch (the seed is an argument of ``solve`` and ``solve_many``).
 
     Step size decays as a/(A+k)^alpha and the perturbation size as c/k^gamma
     with the iteration index k starting at 1. ``d`` bounds each component of
@@ -61,7 +62,6 @@ class SolverParams:
     gamma: float = 0.101
     d: float = 0.03
     n_max: int = 25000
-    seed: int = 0
     variant: str = "nlspsa"
     trace_every: int = 1
     stop_loss: float | None = None
@@ -74,8 +74,6 @@ class SolverParams:
             raise ValueError(f"A must be nonnegative, got {self.A}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.trace_every < 1:
@@ -159,14 +157,16 @@ def saturate(x: np.ndarray, d: float) -> np.ndarray:
     return np.minimum(np.maximum(x, -d), d)
 
 
-def solve(spec: ObjectiveSpec, chain: ChainModel, params: SolverParams) -> RunRecord:
-    """Run the solver once, seeded from ``params.seed``.
+def solve(
+    spec: ObjectiveSpec, chain: ChainModel, params: SolverParams, seed: int = 0
+) -> RunRecord:
+    """Run the solver once, seeded from ``seed``: ``solve_many`` on one seed.
 
     Starts from the reference configuration, runs ``n_max`` iterations (two
     loss measurements each), and returns the final iterate. Raises
     :class:`SolverFault` if any loss measurement or iterate goes non-finite.
     """
-    outcome = solve_many(spec, chain, params, [params.seed])[0]
+    outcome = solve_many(spec, chain, params, [seed])[0]
     if isinstance(outcome, SolverFault):
         raise outcome
     return outcome
@@ -185,9 +185,10 @@ def solve_many(
 ) -> list:
     """Run one solver instance per seed, batched over a shared iteration loop.
 
-    Each seed owns an independent PRNG stream and every batch size runs the
-    same arithmetic, so a seed's result is bit-identical whichever seeds
-    share its batch. A failed seed's slot holds its :class:`SolverFault`
+    Each seed, which must be nonnegative (a negative one raises
+    ``ValueError``), owns an independent PRNG stream and every batch size
+    runs the same arithmetic, so a seed's result is bit-identical whichever
+    seeds share its batch. A failed seed's slot holds its :class:`SolverFault`
     instead of a record, and the other seeds keep running. ``elapsed`` is
     apportioned evenly across the batch.
 
@@ -203,6 +204,8 @@ def solve_many(
     seeds = [int(s) for s in seeds]
     if not seeds:
         return []
+    if min(seeds) < 0:
+        raise ValueError(f"seed must be nonnegative, got {min(seeds)}")
     evaluate = LossEvaluator(spec, chain).evaluate_many
     n = chain.n
     n_seeds = len(seeds)

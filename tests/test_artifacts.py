@@ -27,7 +27,7 @@ from nlspsa_ik.scenarios import builtin
 @pytest.fixture(scope="module")
 def short_run():
     s = builtin("1.1")
-    return s, solve(s.spec, s.chain, SolverParams(n_max=40, seed=0))
+    return s, solve(s.spec, s.chain, SolverParams(n_max=40), 0)
 
 
 def csv_module_bytes(path, header, rows) -> bytes:
@@ -206,7 +206,7 @@ def test_readers_name_the_malformed_line(tmp_path, reader, text):
 class TestRunResult:
     def test_doc_round_trip(self, short_run, tmp_path):
         s, rec = short_run
-        params = SolverParams(n_max=40, seed=0)
+        params = SolverParams(n_max=40)
         doc = run_result_doc(s.id, s.spec, s.chain, params, rec, "trace.csv")
         path = tmp_path / "run.json"
         write_json(path, doc)
@@ -214,6 +214,16 @@ class TestRunResult:
         assert loaded["final_q_deg"] == [float(v) for v in rec.final_iterate]
         assert loaded["final_loss"] == rec.final_loss
         assert loaded["params"]["n_max"] == 40
+
+    def test_params_keys_in_order(self, short_run):
+        # every SolverParams field but variant (a top-level key), then the
+        # loss weights
+        s, rec = short_run
+        doc = run_result_doc(s.id, s.spec, s.chain, SolverParams(n_max=40), rec, "t.csv")
+        assert list(doc["params"]) == [
+            "a", "A", "c", "alpha", "gamma", "d", "n_max", "trace_every",
+            "stop_loss", "w_jmc", "w_ee",
+        ]
 
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlspsa_ik import baseline
 from nlspsa_ik.baseline import PsoParams, pso_solve
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
@@ -34,9 +35,7 @@ class TestPsoParamsValidation:
         with pytest.raises(ValueError):
             PsoParams(population=100, eval_budget=99)
 
-    def test_rejects_bad_coefficients(self):
-        with pytest.raises(ValueError):
-            PsoParams(cognitive=0.0)
+    def test_rejects_negative_init_spread(self):
         with pytest.raises(ValueError):
             PsoParams(init_spread=-1.0)
 
@@ -159,9 +158,9 @@ def frozen_pso_generations(spec, chain, params):
             r_cog = rng.random(size=(pop, n))
             r_soc = rng.random(size=(pop, n))
             velocities = (
-                params.inertia * velocities
-                + params.cognitive * r_cog * (pbest_pos - positions)
-                + params.social * r_soc * (gbest_pos - positions)
+                baseline.INERTIA * velocities
+                + baseline.COGNITIVE * r_cog * (pbest_pos - positions)
+                + baseline.SOCIAL * r_soc * (gbest_pos - positions)
             )
             if spread > 0:
                 np.clip(velocities, -spread, spread, out=velocities)

@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -16,7 +18,7 @@ import pytest
 import nlspsa_ik
 from nlspsa_ik.artifacts import read_compare_csv, read_sweep_csv, read_trace_csv
 from nlspsa_ik import cli
-from nlspsa_ik.cli import _worker_count, main
+from nlspsa_ik.cli import main
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
 from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, combined_loss, default_r_ee
@@ -27,6 +29,31 @@ from nlspsa_ik.svgplot import convergence_svg, posture_svg
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the process pool: a pool that records its size and runs
+    each chunk in-process. Returns the list of sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestRunCommand:
@@ -110,6 +137,28 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("run")  # --scenario missing
         assert excinfo.value.code == 2
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        code = run_cli("run", "--scenario", "1.1", "--seed", "-1", "--out", tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_every_solver_field_is_a_solver_option(command):
+    # _solver_params reads the options named after SolverParams' fields; an
+    # option not given is None and keeps the field's default
+    subparsers = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    groups = subparsers.choices[command]._action_groups
+    options = next(g for g in groups if g.title == "solver parameters")._group_actions
+    assert sorted(a.dest for a in options) == sorted(
+        f.name for f in dataclasses.fields(SolverParams)
+    )
+    assert all(a.default is None for a in options)
 
 
 def _edited_scenario_file(tmp_path, **fields):
@@ -224,16 +273,25 @@ class TestSweepCommand:
         assert code == 0
         assert len(read_sweep_csv(tmp_path / "sweep_1.1.csv")["seeds"]) == 4
 
-    def test_worker_count_is_clamped(self, monkeypatch):
-        assert _worker_count(10**6, 10**6) == (os.cpu_count() or 1)
+    def test_worker_count_is_clamped(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(cli, "solve_many", lambda spec, chain, params, seeds: seeds)
+
+        def workers(jobs, n_seeds):
+            """Workers a sweep of n_seeds starts: one runs without a pool."""
+            inline_pool.clear()
+            seeds = list(range(n_seeds))
+            assert cli._sweep_outcomes(None, None, None, seeds, jobs) == seeds
+            return inline_pool[0] if inline_pool else 1
+
+        assert workers(10**6, 10**6) == (os.cpu_count() or 1)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        assert _worker_count(64, 20) == 4
-        assert _worker_count(8, 3) == 3
-        assert _worker_count(1, 20) == 1
-        assert _worker_count(4, 0) == 1
+        assert workers(64, 20) == 4
+        assert workers(8, 3) == 3
+        assert workers(1, 20) == 1
+        assert workers(4, 0) == 1
         for jobs in (0, -3):
             with pytest.raises(ValueError):
-                _worker_count(jobs, 20)
+                workers(jobs, 20)
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path):
         code = run_cli(
@@ -242,41 +300,19 @@ class TestSweepCommand:
         )
         assert code == 2
 
-    def test_pool_never_exceeds_the_clamp(self, tmp_path, monkeypatch):
-        # A stand-in pool records its size and runs each chunk in-process.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_exceeds_the_clamp(self, tmp_path, monkeypatch, inline_pool):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code = run_cli(
             "sweep", "--scenario", "1.1", "--seeds", "3", "--n-max", "20",
             "--jobs", "1000", "--out", tmp_path,
         )
         assert code == 0
-        assert sizes == [2]
+        assert inline_pool == [2]
         assert len(read_sweep_csv(tmp_path / "sweep_1.1.csv")["seeds"]) == 3
 
     def test_two_process_sweep_matches_one_process(self, tmp_path, monkeypatch):
-        # A real pool of two workers, loaded on first use: each worker's seeds
-        # give the same results as in the one-process batch.
-        from concurrent.futures import ProcessPoolExecutor
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        # A real pool of two workers: each worker's seeds give the same
+        # results as in the one-process batch.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         per_seed = {}
         for jobs in (2, 1):
@@ -287,7 +323,6 @@ class TestSweepCommand:
             )
             assert code == 0
             per_seed[jobs] = json.loads((out / "sweep_1.1.json").read_text())["per_seed"]
-        assert cli.ProcessPoolExecutor is ProcessPoolExecutor
         assert [s["seed"] for s in per_seed[2]] == [0, 1, 2, 3]
         for two, one in zip(per_seed[2], per_seed[1], strict=True):
             assert two["final_loss"] == one["final_loss"]
@@ -301,7 +336,6 @@ class TestSweepCommand:
     def test_two_process_sweep_keeps_each_fault(self, tmp_path, monkeypatch):
         # Faults cross the process pool as pickles, and come back as the
         # one-process sweep reports them.
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         faults = {}
         for jobs in (2, 1):
@@ -325,7 +359,7 @@ class TestSweepCommand:
             elapsed=0.0,
         )
 
-        def slow_solve_many(spec, chain, params, seeds, return_faults=False):
+        def slow_solve_many(spec, chain, params, seeds):
             time.sleep(0.05)
             return [record, SolverFault("non-finite loss at iteration 1", iteration=1)]
 
@@ -367,7 +401,7 @@ class TestCompareCommand:
         assert doc["eval_budget"] == 3000
 
     def test_all_nlspsa_seeds_faulted_means_no_winner(self, tmp_path, capsys, monkeypatch):
-        def faulting_solve_many(spec, chain, params, seeds, return_faults=False):
+        def faulting_solve_many(spec, chain, params, seeds):
             return [SolverFault("non-finite loss at iteration 1", iteration=1) for _ in seeds]
 
         monkeypatch.setattr(cli, "solve_many", faulting_solve_many)
@@ -645,15 +679,14 @@ def test_run_json_alone_reproduces_the_run(tmp_path):
         w_ee=p["w_ee"],
     )
     params = SolverParams(
-        seed=doc["seed"],
         variant=doc["variant"],
         **{k: p[k] for k in ("a", "A", "c", "alpha", "gamma", "d", "n_max",
                              "trace_every", "stop_loss")},
     )
-    record = solve(spec, chain, params)
+    record = solve(spec, chain, params, doc["seed"])
     assert record.final_iterate.tolist() == doc["final_q_deg"]
     # the limits were active, so dropping them would not reproduce the run
-    unlimited = solve(spec, ChainModel(chain.link_lengths), params)
+    unlimited = solve(spec, ChainModel(chain.link_lengths), params, doc["seed"])
     assert unlimited.final_iterate.tolist() != doc["final_q_deg"]
 
 

@@ -242,9 +242,9 @@ def test_one_loss_call_per_iteration_and_per_traced_slice(monkeypatch):
 
 def test_single_seed_solve_matches_oracle():
     scenario = builtin("1.1")
-    params = SolverParams(n_max=1200, seed=5, trace_every=3)
+    params = SolverParams(n_max=1200, trace_every=3)
     want = reference_solve_many(scenario.spec, scenario.chain, params, [5])[0]
-    assert_same_outcome(solve(scenario.spec, scenario.chain, params), want)
+    assert_same_outcome(solve(scenario.spec, scenario.chain, params, 5), want)
 
 
 INJECT_AT = 700  # mid-block: the second block runs iterations 513..1024

@@ -352,8 +352,8 @@ class TestLossEvaluatorBitIdentity:
         "spec,chain", [case[1:] for case in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
     )
     def test_row_alone_equals_its_row_in_a_batch(self, spec, chain):
-        # A one-row call with diagonal r_ee finishes on Python floats; every
-        # batch size must still give each row the same value.
+        # A row's value does not depend on the batch it is computed in: one
+        # row alone and every batch size give it the same value.
         rows = _oracle_rows(spec, seed=spec.n)
         evaluator = LossEvaluator(spec, chain)
         with np.errstate(all="ignore"):

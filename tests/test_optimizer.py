@@ -30,13 +30,13 @@ def gain_schedules(params, ks):
     return params.a / (params.A + ks) ** params.alpha, params.c / ks**params.gamma
 
 
-def reference_solve(spec, chain, params):
+def reference_solve(spec, chain, params, seed):
     """One seed's run as a loop over the public per-step functions:
     ``spsa_gradient`` over a ``LossEvaluator``, then ``saturate`` in the
     nlspsa variant. Returns the final iterate and the per-iteration loss
     trace (the engine's ``trace_every=1``)."""
     evaluator = LossEvaluator(spec, chain)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     a_ks, c_ks = gain_schedules(params, np.arange(1, params.n_max + 1))
     phi = np.asarray(spec.reference, dtype=float)
     trace = [evaluator(phi)]
@@ -73,7 +73,7 @@ class TestSolverParamsValidation:
         "kwargs",
         [
             {"a": 0.0}, {"c": -1.0}, {"alpha": 0.0}, {"gamma": 0.0}, {"d": 0.0},
-            {"A": -1.0}, {"n_max": 0}, {"seed": -1}, {"variant": "adam"},
+            {"A": -1.0}, {"n_max": 0}, {"variant": "adam"},
             {"trace_every": 0}, {"stop_loss": math.inf},
         ],
     )
@@ -200,8 +200,8 @@ def quadratic_scenario(n=3, seed=0):
 class TestSolve:
     def test_budget_exactness_and_trace_bookkeeping(self):
         spec, chain = quadratic_scenario()
-        params = SolverParams(n_max=500, seed=3)
-        rec = solve(spec, chain, params)
+        params = SolverParams(n_max=500)
+        rec = solve(spec, chain, params, 3)
         assert rec.evaluations == 2 * 500
         assert rec.iterations == 500
         assert len(rec.loss_trace) == 501
@@ -212,36 +212,36 @@ class TestSolve:
 
     def test_total_measurements_match_counter(self):
         spec, chain = quadratic_scenario()
-        rec = solve(spec, chain, SolverParams(n_max=200, seed=1))
+        rec = solve(spec, chain, SolverParams(n_max=200), 1)
         assert rec.evaluations + rec.trace_evaluations == 2 * 200 + 201
 
     def test_trace_subsampling_always_includes_final(self):
         spec, chain = quadratic_scenario()
-        rec = solve(spec, chain, SolverParams(n_max=20, trace_every=7, seed=0))
+        rec = solve(spec, chain, SolverParams(n_max=20, trace_every=7), 0)
         assert list(rec.trace_iterations) == [0, 7, 14, 20]
         assert rec.final_loss == rec.loss_trace[-1]
         assert rec.trace_evaluations == 4
 
     def test_deterministic_given_seed(self):
         spec, chain = quadratic_scenario()
-        params = SolverParams(n_max=300, seed=11)
-        a = solve(spec, chain, params)
-        b = solve(spec, chain, params)
+        params = SolverParams(n_max=300)
+        a = solve(spec, chain, params, 11)
+        b = solve(spec, chain, params, 11)
         assert np.array_equal(a.final_iterate, b.final_iterate)
         assert a.final_loss == b.final_loss
         assert np.array_equal(a.loss_trace, b.loss_trace)
-        c = solve(spec, chain, SolverParams(n_max=300, seed=12))
+        c = solve(spec, chain, params, 12)
         assert not np.array_equal(a.final_iterate, c.final_iterate)
 
     def test_single_iteration_stays_within_bound(self):
         spec, chain = quadratic_scenario()
-        params = SolverParams(n_max=1, seed=5)
-        rec = solve(spec, chain, params)
+        params = SolverParams(n_max=1)
+        rec = solve(spec, chain, params, 5)
         assert np.abs(rec.final_iterate - spec.reference).max() <= params.d * (1 + 1e-12)
 
     def test_step_bound_holds_throughout(self):
         scenario = builtin("1.1")
-        rec = solve(scenario.spec, scenario.chain, SolverParams(n_max=800, seed=2))
+        rec = solve(scenario.spec, scenario.chain, SolverParams(n_max=800), 2)
         assert rec.max_step_inf <= DEFAULTS.d * (1 + 1e-9)
 
     def test_reference_schedules_frozen_values(self):
@@ -259,9 +259,9 @@ class TestSolve:
         # the batched engine must agree, bit for bit, with a loop over the
         # public per-step functions
         scenario = builtin(scenario_id)
-        params = SolverParams(n_max=1500, seed=7, variant=variant)
-        rec = solve(scenario.spec, scenario.chain, params)
-        phi, trace = reference_solve(scenario.spec, scenario.chain, params)
+        params = SolverParams(n_max=1500, variant=variant)
+        rec = solve(scenario.spec, scenario.chain, params, 7)
+        phi, trace = reference_solve(scenario.spec, scenario.chain, params, 7)
         assert np.array_equal(rec.final_iterate, phi)
         assert np.array_equal(rec.loss_trace, trace)
 
@@ -271,7 +271,7 @@ class TestSolve:
         # must run saturate and the estimate spsa_gradient returns through
         calls = counting_helpers(monkeypatch)
         spec, chain = quadratic_scenario()
-        rec = solve(spec, chain, SolverParams(n_max=300, seed=2, variant=variant))
+        rec = solve(spec, chain, SolverParams(n_max=300, variant=variant), 2)
         assert rec.iterations == 300
         assert calls == {"saturate": saturations, "_estimate": 300}
 
@@ -283,9 +283,9 @@ class TestSolve:
 
     def test_plain_spsa_matches_nlspsa_when_steps_are_small(self):
         spec, chain = quadratic_scenario()
-        small = dict(a=1e-4, n_max=400, seed=13)
-        rec_sat = solve(spec, chain, SolverParams(variant="nlspsa", **small))
-        rec_raw = solve(spec, chain, SolverParams(variant="spsa", **small))
+        small = dict(a=1e-4, n_max=400)
+        rec_sat = solve(spec, chain, SolverParams(variant="nlspsa", **small), 13)
+        rec_raw = solve(spec, chain, SolverParams(variant="spsa", **small), 13)
         assert rec_sat.max_step_inf < DEFAULTS.d
         assert np.array_equal(rec_sat.final_iterate, rec_raw.final_iterate)
         assert np.array_equal(rec_sat.loss_trace, rec_raw.loss_trace)
@@ -297,15 +297,15 @@ class TestSolve:
             scenario.chain.link_lengths,
             joint_limits=((lo,) * 8, (hi,) * 8),
         )
-        rec = solve(scenario.spec, chain, SolverParams(n_max=2000, seed=1))
+        rec = solve(scenario.spec, chain, SolverParams(n_max=2000), 1)
         assert rec.final_iterate.min() >= lo - 1e-12
         assert rec.final_iterate.max() <= hi + 1e-12
         assert rec.max_step_inf <= DEFAULTS.d * (1 + 1e-9)
 
     def test_stop_loss_ends_run_early(self):
         scenario = builtin("1.1")
-        params = SolverParams(n_max=25000, seed=0, stop_loss=5e-3)
-        rec = solve(scenario.spec, scenario.chain, params)
+        params = SolverParams(n_max=25000, stop_loss=5e-3)
+        rec = solve(scenario.spec, scenario.chain, params, 0)
         assert rec.final_loss <= 5e-3
         assert rec.iterations < 25000
         assert rec.evaluations == 2 * rec.iterations
@@ -313,14 +313,14 @@ class TestSolve:
 
     def test_divergent_plain_spsa_faults_with_iteration(self):
         spec, chain = quadratic_scenario()
-        params = SolverParams(variant="spsa", a=1e200, n_max=60, seed=0)
+        params = SolverParams(variant="spsa", a=1e200, n_max=60)
         with pytest.raises(SolverFault) as excinfo:
-            solve(spec, chain, params)
+            solve(spec, chain, params, 0)
         assert excinfo.value.iteration >= 1
 
     def test_solve_many_matches_single_seed_runs(self):
         spec, chain = quadratic_scenario()
-        params = SolverParams(n_max=150, seed=0)
+        params = SolverParams(n_max=150)
         batch = solve_many(spec, chain, params, [4, 9])
         for seed, rec in zip([4, 9], batch):
             alone = solve_many(spec, chain, params, [seed])[0]
@@ -329,9 +329,18 @@ class TestSolve:
 
     def test_solve_many_collects_faults(self):
         spec, chain = quadratic_scenario()
-        params = SolverParams(variant="spsa", a=1e200, n_max=60, seed=0)
+        params = SolverParams(variant="spsa", a=1e200, n_max=60)
         outcomes = solve_many(spec, chain, params, [0, 1])
         assert all(isinstance(o, SolverFault) for o in outcomes)
+
+    def test_negative_seed_rejected(self):
+        spec, chain = quadratic_scenario()
+        params = SolverParams(n_max=5)
+        message = "^seed must be nonnegative, got -1$"
+        with pytest.raises(ValueError, match=message):
+            solve_many(spec, chain, params, [3, -1, 4])
+        with pytest.raises(ValueError, match=message):
+            solve(spec, chain, params, -1)
 
     def test_solve_many_empty_seed_list(self):
         spec, chain = quadratic_scenario()
@@ -339,7 +348,7 @@ class TestSolve:
 
     def test_record_shape(self):
         scenario = builtin("2.3")
-        rec = solve(scenario.spec, scenario.chain, SolverParams(n_max=50, seed=0))
+        rec = solve(scenario.spec, scenario.chain, SolverParams(n_max=50), 0)
         assert isinstance(rec, RunRecord)
         assert rec.final_iterate.shape == (20,)
         assert rec.final_pose.theta_deg >= 0.0
