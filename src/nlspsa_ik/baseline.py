@@ -122,11 +122,8 @@ def pso_solve(spec: ObjectiveSpec, chain: ChainModel, params: PsoParams) -> RunR
     return RunRecord(
         final_iterate=gbest_pos.copy(),
         final_pose=forward_kinematics(chain, gbest_pos),
-        initial_loss=trace[0],
-        final_loss=gbest_loss,
         loss_trace=np.asarray(trace),
         trace_iterations=np.arange(len(trace)),
-        best_loss=gbest_loss,
         evaluations=evals,
         trace_evaluations=0,
         iterations=generation,

@@ -74,17 +74,18 @@ def _solver_params(args) -> SolverParams:
 
 def _batch_params(args) -> SolverParams:
     """The solver options of sweep and compare, which trace only at n-max
-    unless given --trace-every; so a stop loss without it would never be
-    checked mid-run, and is a usage error."""
-    if args.stop_loss is not None and args.trace_every is None:
-        raise ValueError(
-            f"--stop-loss needs --trace-every in {args.command}: the loss is "
-            "otherwise traced only at the last iteration"
-        )
+    unless given --trace-every."""
     params = _solver_params(args)
     if args.trace_every is None:
         params = dataclasses.replace(params, trace_every=params.n_max)
     return params
+
+
+def _batch_seeds(args) -> list[int]:
+    """The seeds 0 .. --seeds - 1 of sweep and compare, at least one."""
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    return list(range(args.seeds))
 
 
 def _outdir(args) -> Path:
@@ -146,9 +147,9 @@ def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
 
 def cmd_sweep(args) -> int:
     params = _batch_params(args)
+    seeds = _batch_seeds(args)
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
-    seeds = list(range(args.seeds))
     started = time.perf_counter()
     outcomes = _sweep_outcomes(spec, scenario.chain, params, seeds, args.jobs)
     total_wall_ms = (time.perf_counter() - started) * 1e3
@@ -184,10 +185,10 @@ def _finished_median(losses: np.ndarray) -> float:
 
 def cmd_compare(args) -> int:
     params = _batch_params(args)
+    seeds = _batch_seeds(args)
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
     budget = 2 * params.n_max
-    seeds = list(range(args.seeds))
     nl_outcomes = solve_many(spec, scenario.chain, params, seeds)
     nl_losses = np.array(
         [
@@ -292,9 +293,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     solver.add_argument("--trace-every", type=int, default=None, dest="trace_every",
                         help="record the loss every m iterations (default: 1 for run, "
                              "n-max for sweep/compare)")
-    solver.add_argument("--stop-loss", type=float, default=None, dest="stop_loss",
-                        help="stop early once the traced loss falls below this "
-                             "(default: off; sweep and compare need --trace-every)")
 
 
 def build_parser() -> argparse.ArgumentParser:

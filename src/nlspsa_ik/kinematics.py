@@ -57,7 +57,8 @@ class ChainModel:
 
     ``link_lengths`` are positive (dimensionless length units); the joint
     count n equals the number of links. ``joint_limits``, when present, is a
-    (q_min, q_max) pair of per-joint bounds in degrees.
+    (q_min, q_max) pair of per-joint bounds in degrees; a bound may be
+    infinite (an unbounded joint) but not NaN.
     """
 
     link_lengths: tuple[float, ...]
@@ -75,8 +76,8 @@ class ChainModel:
             q_max = tuple(float(v) for v in self.joint_limits[1])
             if len(q_min) != len(lengths) or len(q_max) != len(lengths):
                 raise ValueError("joint limits must have one entry per joint")
-            if any(lo > hi for lo, hi in zip(q_min, q_max)):
-                raise ValueError(f"ill-ordered joint limits: {q_min} vs {q_max}")
+            if not all(lo <= hi for lo, hi in zip(q_min, q_max)):  # false for NaN
+                raise ValueError(f"ill-ordered or NaN joint limits: {q_min} vs {q_max}")
             object.__setattr__(self, "joint_limits", (q_min, q_max))
 
     @property

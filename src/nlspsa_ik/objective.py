@@ -40,9 +40,9 @@ class ObjectiveSpec:
     """Target pose, reference configuration, and weighting of the two costs.
 
     ``r_ee`` (3x3) weights the pose error, ``q_jmc`` (n x n) weights the
-    joint displacement; both must be symmetric positive-definite. ``w_ee``
-    must be strictly positive or the accuracy term would vanish from the
-    loss; ``w_jmc`` may be zero.
+    joint displacement; both must be symmetric positive-definite. Both
+    weights must be finite. ``w_ee`` must be strictly positive or the
+    accuracy term would vanish from the loss; ``w_jmc`` may be zero.
     """
 
     target: Pose
@@ -65,10 +65,10 @@ class ObjectiveSpec:
         object.__setattr__(
             self, "q_jmc", _as_spd_matrix(self.q_jmc, reference.size, "q_jmc")
         )
-        if not self.w_ee > 0:
-            raise ValueError(f"w_ee must be strictly positive, got {self.w_ee}")
-        if self.w_jmc < 0:
-            raise ValueError(f"w_jmc must be nonnegative, got {self.w_jmc}")
+        if not 0 < self.w_ee < np.inf:
+            raise ValueError(f"w_ee must be finite and strictly positive, got {self.w_ee}")
+        if not 0 <= self.w_jmc < np.inf:
+            raise ValueError(f"w_jmc must be finite and nonnegative, got {self.w_jmc}")
 
     @property
     def n(self) -> int:

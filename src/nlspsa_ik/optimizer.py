@@ -34,12 +34,11 @@ _BLOCK_MIN = 128
 _BLOCK_MAX = 512
 # Iterations per slice of a block. Each slice's traced iterates are evaluated
 # in one call and the settle pass scans the history by slices, so their work
-# buffers stay a fraction of the history buffer. With stop_loss, a batch ends
-# after the slice in which its last running seed reached it.
+# buffers stay a fraction of the history buffer.
 _SCAN_ROWS = 64
-# What can end a seed's run at iteration k, in the order the checks apply
-# there. A block's events are ranked by 4*k + kind.
-_LOSS, _ITERATE, _TRACE_LOSS, _STOP = range(4)
+# The faults that can end a seed's run at iteration k, in the order the
+# checks apply there. A block's events are ranked by 3*k + kind.
+_LOSS, _ITERATE, _TRACE_LOSS = range(3)
 _NO_EVENT = np.iinfo(np.int64).max  # ranks above every event
 
 
@@ -51,8 +50,7 @@ class SolverParams:
     Step size decays as a/(A+k)^alpha and the perturbation size as c/k^gamma
     with the iteration index k starting at 1. ``d`` bounds each component of
     an update (degrees per joint per iteration) in the "nlspsa" variant.
-    ``stop_loss`` optionally ends a run early once a traced loss value falls
-    below it (checked only at trace points); off by default.
+    Every run that does not fault takes exactly ``n_max`` iterations.
     """
 
     a: float = 3000.0
@@ -64,7 +62,6 @@ class SolverParams:
     n_max: int = 25000
     variant: str = "nlspsa"
     trace_every: int = 1
-    stop_loss: float | None = None
 
     def __post_init__(self):
         for name in ("a", "c", "alpha", "gamma", "d"):
@@ -78,8 +75,6 @@ class SolverParams:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.trace_every < 1:
             raise ValueError(f"trace_every must be at least 1, got {self.trace_every}")
-        if self.stop_loss is not None and not np.isfinite(self.stop_loss):
-            raise ValueError(f"stop_loss must be finite, got {self.stop_loss}")
 
 
 @dataclass(eq=False)
@@ -87,13 +82,14 @@ class RunRecord:
     """Outcome of one solver run.
 
     ``final_iterate`` is the iterate after the last executed iteration (the
-    answer), not the best-so-far; ``best_loss`` is the lowest value in
-    ``loss_trace`` and is diagnostic only. ``evaluations``
+    answer), not the best-so-far. ``evaluations``
     counts loss measurements consumed by the optimizer itself (exactly two
     per iteration); the ``trace_evaluations`` bookkeeping measurements are
     counted separately. ``loss_trace[i]`` is the loss after
     ``trace_iterations[i]`` updates, starting from 0 (the initial value) and
-    always ending at the final iterate. From ``solve_many``, both are
+    always ending at the final iterate; ``initial_loss``, ``final_loss`` and
+    ``best_loss`` are its first, last and lowest value (``best_loss`` is
+    diagnostic only). From ``solve_many``, both are
     read-only views into arrays that the records of one batch share; copy
     them before writing. ``elapsed`` is the wall time, in seconds, of the
     batch the seed ran in divided by the seeds in that batch; a single-seed
@@ -102,17 +98,26 @@ class RunRecord:
 
     final_iterate: np.ndarray
     final_pose: Pose
-    initial_loss: float
-    final_loss: float
     loss_trace: np.ndarray
     trace_iterations: np.ndarray
-    best_loss: float
     evaluations: int
     trace_evaluations: int
     iterations: int
     max_step_inf: float
     seed: int
     elapsed: float
+
+    @property
+    def initial_loss(self) -> float:
+        return float(self.loss_trace[0])
+
+    @property
+    def final_loss(self) -> float:
+        return float(self.loss_trace[-1])
+
+    @property
+    def best_loss(self) -> float:
+        return float(self.loss_trace.min())
 
 
 def _estimate(plus, minus, c_k):
@@ -196,10 +201,10 @@ def solve_many(
     seed's stacked plus and minus configurations, takes the step, and stores
     the losses and the new iterate in per-block buffers. The traced iterates
     of each slice of ``_SCAN_ROWS`` iterations are evaluated in one call.
-    Finiteness checks, the step bound and ``stop_loss`` are settled once per
-    block from those buffers, with the same outcome, down to the fault
-    iteration, as checking after every iteration. A record's initial, final
-    and best loss are read from its trace, whose values are all finite.
+    Finiteness checks and the step bound are settled once per block from
+    those buffers, with the same outcome, down to the fault iteration, as
+    checking after every iteration. Every seed that does not fault runs all
+    ``n_max`` iterations, and its trace values are all finite.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -211,7 +216,6 @@ def solve_many(
     n_seeds = len(seeds)
     n_iter = params.n_max
     d = params.d if params.variant == "nlspsa" else None
-    stop_loss = params.stop_loss
     limits = chain.joint_limits
     if limits is not None:
         q_lo = np.asarray(limits[0])
@@ -245,15 +249,13 @@ def solve_many(
 
     active = np.ones(n_seeds, dtype=bool)
     faults: list[SolverFault | None] = [None] * n_seeds
-    end_k = np.full(n_seeds, n_iter)  # the last iteration a seed runs
-    final_phi = np.empty((n_seeds, n))
     max_step = np.zeros(n_seeds)
 
     def first_event(bad: np.ndarray, at: np.ndarray, kind: int) -> np.ndarray:
         """Rank of each seed's first ``bad`` row (rows happen at ``at``)."""
         if not bad.shape[0]:
             return np.full(n_seeds, _NO_EVENT)
-        return np.where(bad.any(axis=0), at[bad.argmax(axis=0)] * 4 + kind, _NO_EVENT)
+        return np.where(bad.any(axis=0), at[bad.argmax(axis=0)] * 3 + kind, _NO_EVENT)
 
     def settle_block(block_start: int, block_len: int, slots: slice) -> None:
         """Checks and bookkeeping for iterations block_start+1 .. block_start
@@ -281,23 +283,13 @@ def solve_many(
             first_event(iterate_bad, at_k, _ITERATE),
         )
         np.minimum(events, first_event(~np.isfinite(values), value_ks, _TRACE_LOSS), out=events)
-        if stop_loss is not None:
-            np.minimum(events, first_event(values <= stop_loss, value_ks, _STOP), out=events)
         events[~active] = _NO_EVENT
-        event_k, kind = np.divmod(events, 4)
-        stopped = (events != _NO_EVENT) & (kind == _STOP)
-        counted = active & ((events == _NO_EVENT) | stopped)
-
-        # A seed that stops at iteration k counts this block's steps up to k;
-        # one that runs on counts them all.
-        done = np.where(stopped, event_k - block_start, block_len)
-        in_run = at_k[:, None] - block_start <= done
-        np.maximum(max_step, np.where(in_run, steps, 0.0).max(axis=0), out=max_step, where=counted)
-        end_k[stopped] = event_k[stopped]
-        final_phi[stopped] = history[done[stopped], stopped]
-        active[events != _NO_EVENT] = False
-
-        faulted = np.flatnonzero((events != _NO_EVENT) & ~stopped)
+        event_k, kind = np.divmod(events, 3)
+        np.maximum(
+            max_step, steps.max(axis=0), out=max_step, where=active & (events == _NO_EVENT)
+        )
+        faulted = np.flatnonzero(events != _NO_EVENT)
+        active[faulted] = False
         for s in faulted:
             what = "iterate" if kind[s] == _ITERATE else "loss"
             faults[s] = SolverFault(
@@ -349,47 +341,30 @@ def solve_many(
                     rows = hist[trace_ks[traced:upto] - block_start]
                     evaluate(rows.reshape(-1, n), out=traces[traced:upto].reshape(-1))
                     traced = upto
-                if stop_loss is not None:
-                    # once every running seed has reached stop_loss, the
-                    # block ends with this slice; settle_block finds each
-                    # seed's stop
-                    reached = (traces[slot:traced] <= stop_loss).any(axis=0)
-                    if (reached | ~active).all():
-                        block_len = hi
-                        break
 
-            settled = np.searchsorted(trace_ks, block_start + block_len, "right")
-            settle_block(block_start, block_len, slice(slot, settled))
-            slot = settled
+            settle_block(block_start, block_len, slice(slot, traced))
+            slot = traced
             hist[0] = hist[block_len]
 
-        still_running = np.flatnonzero(active)
-        final_phi[still_running] = hist[0, still_running]
-
     elapsed = (time.perf_counter() - started) / n_seeds
-    # A record's trace is a read-only view of its prefix of the batch's
-    # trace points: no per-seed copies.
+    # A record's trace is a read-only view of its column of the batch's
+    # trace: no per-seed copies.
     traces.setflags(write=False)
     trace_ks.setflags(write=False)
-    counts = np.searchsorted(trace_ks, end_k, "right").tolist()
     results: list = []
-    for s, (count, k) in enumerate(zip(counts, end_k.tolist())):
+    for s in range(n_seeds):
         if faults[s] is not None:
             results.append(faults[s])
             continue
-        trace = traces[:count, s]
         results.append(
             RunRecord(
-                final_iterate=final_phi[s].copy(),
-                final_pose=forward_kinematics(chain, final_phi[s]),
-                initial_loss=float(trace[0]),
-                final_loss=float(trace[-1]),
-                loss_trace=trace,
-                trace_iterations=trace_ks[:count],
-                best_loss=float(trace.min()),
-                evaluations=2 * k,
-                trace_evaluations=count,
-                iterations=k,
+                final_iterate=hist[0, s].copy(),
+                final_pose=forward_kinematics(chain, hist[0, s]),
+                loss_trace=traces[:, s],
+                trace_iterations=trace_ks,
+                evaluations=2 * n_iter,
+                trace_evaluations=len(trace_ks),
+                iterations=n_iter,
                 max_step_inf=float(max_step[s]),
                 seed=seeds[s],
                 elapsed=elapsed,

@@ -222,7 +222,7 @@ class TestRunResult:
         doc = run_result_doc(s.id, s.spec, s.chain, SolverParams(n_max=40), rec, "t.csv")
         assert list(doc["params"]) == [
             "a", "A", "c", "alpha", "gamma", "d", "n_max", "trace_every",
-            "stop_loss", "w_jmc", "w_ee",
+            "w_jmc", "w_ee",
         ]
 
     def test_missing_fields_rejected(self, tmp_path):

@@ -201,26 +201,37 @@ def test_scenario_file_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
     assert err.startswith("scenario error: ") and str(path) in err
 
 
-@pytest.mark.parametrize("command", ["sweep", "compare"])
-def test_stop_loss_without_trace_every_is_a_usage_error(command, tmp_path, capsys):
-    code = run_cli(
-        command, "--scenario", "1.1", "--seeds", "1", "--n-max", "20",
-        "--stop-loss", "0.05", "--out", tmp_path,
-    )
+def test_nan_joint_limit_in_a_scenario_file_is_a_scenario_error(tmp_path, capsys):
+    limits = {"q_min": [float("nan")] + [-180.0] * 7, "q_max": [180.0] * 8}
+    path = _edited_scenario_file(tmp_path, joint_limits=limits)
+    assert run_cli("run", "--scenario", path, "--n-max", "5", "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and "NaN" in err
+
+
+@pytest.mark.parametrize("option", ["--w-jmc", "--w-ee"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_weight_is_a_usage_error(option, value, tmp_path, capsys):
+    code = run_cli("run", "--scenario", "1.1", option, value, "--out", tmp_path)
     assert code == 2
     err = capsys.readouterr().err
-    assert "--stop-loss" in err and "--trace-every" in err
+    name = option[2:].replace("-", "_")
+    assert err.startswith(f"error: {name} must be finite") and f"got {value}" in err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-def test_stop_loss_with_trace_every_runs(command, tmp_path):
+@pytest.mark.parametrize("seeds, scenario", [(0, "1.1"), (-3, "1.1"), (0, "no-such")])
+def test_seeds_below_one_is_a_usage_error(command, seeds, scenario, tmp_path, capsys):
+    # checked before the scenario is resolved: an unknown one would exit 3
     code = run_cli(
-        command, "--scenario", "1.1", "--seeds", "1", "--n-max", "60",
-        "--stop-loss", "0.05", "--trace-every", "5", "--out", tmp_path,
-        *(["--population", "10"] if command == "compare" else []),
+        command, "--scenario", scenario, "--seeds", seeds, "--n-max", "20",
+        "--out", tmp_path,
     )
-    assert code == 0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --seeds must be at least 1, got {seeds}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:
@@ -681,7 +692,7 @@ def test_run_json_alone_reproduces_the_run(tmp_path):
     params = SolverParams(
         variant=doc["variant"],
         **{k: p[k] for k in ("a", "A", "c", "alpha", "gamma", "d", "n_max",
-                             "trace_every", "stop_loss")},
+                             "trace_every")},
     )
     record = solve(spec, chain, params, doc["seed"])
     assert record.final_iterate.tolist() == doc["final_q_deg"]

@@ -22,9 +22,8 @@ BLOCK = 512  # iterations per perturbation block, as drawn by the engine
 
 
 def reference_solve_many(spec, chain, params, seeds, return_faults=False):
-    """Per-iteration oracle: checks faults, best-so-far, the step bound and
-    stop_loss after every iteration, as the engine did before it settled
-    them per block."""
+    """Per-iteration oracle: checks faults and the step bound after every
+    iteration, as the engine did before it settled them per block."""
     seeds = [int(s) for s in seeds]
     evaluator = LossEvaluator(spec, chain)
     n = chain.n
@@ -32,7 +31,6 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
     n_iter = params.n_max
     nlspsa = params.variant == "nlspsa"
     d = params.d
-    stop_loss = params.stop_loss
     limits = chain.joint_limits
     if limits is not None:
         q_lo = np.asarray(limits[0])
@@ -55,8 +53,6 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
     iterations_done = np.zeros(n_seeds, dtype=int)
     evals = np.zeros(n_seeds, dtype=int)
     trace_evals = np.zeros(n_seeds, dtype=int)
-    final_phi = np.empty((n_seeds, n))
-    final_loss = np.full(n_seeds, np.nan)
     max_step = np.zeros(n_seeds)
 
     def mark_faults(bad_rows, k, what):
@@ -72,16 +68,8 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
         trace_evals[active] += 1
         mark_faults(active & ~np.isfinite(values), k, "loss")
         traces[active, slot] = values[active]
-        improved = active & (values < best_loss)
-        best_loss[improved] = values[improved]
-        if stop_loss is not None:
-            for s in np.flatnonzero(active & (values <= stop_loss)):
-                final_phi[s] = phi[s]
-                final_loss[s] = values[s]
-                active[s] = False
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        best_loss = np.full(n_seeds, np.inf)
         record_trace(0, evaluator.evaluate_many(phi), 0)
         slot = 1
         for block_start in range(0, n_iter, BLOCK):
@@ -119,9 +107,6 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
                     if active.any():
                         record_trace(slot, evaluator.evaluate_many(phi), k)
                     slot += 1
-        running = np.flatnonzero(active)
-        final_phi[running] = phi[running]
-        final_loss[running] = traces[running, -1]
 
     results = []
     for s in range(n_seeds):
@@ -131,13 +116,10 @@ def reference_solve_many(spec, chain, params, seeds, return_faults=False):
         valid = trace_ks <= iterations_done[s]
         results.append(
             RunRecord(
-                final_iterate=final_phi[s].copy(),
-                final_pose=forward_kinematics(chain, final_phi[s]),
-                initial_loss=float(traces[s, 0]),
-                final_loss=float(final_loss[s]),
+                final_iterate=phi[s].copy(),
+                final_pose=forward_kinematics(chain, phi[s]),
                 loss_trace=traces[s, valid].copy(),
                 trace_iterations=trace_ks[valid].copy(),
-                best_loss=float(best_loss[s]),
                 evaluations=int(evals[s]),
                 trace_evaluations=int(trace_evals[s]),
                 iterations=int(iterations_done[s]),
@@ -172,14 +154,13 @@ def assert_same_outcome(got, want):
     [
         ([0], {"n_max": 3000, "trace_every": 1}),
         ([0], {"n_max": 3000, "trace_every": 7}),
-        # seeds stop after the first block boundary (iterations 832-925) ...
-        ([0], {"stop_loss": 5e-3}),
-        ([0, 1, 2, 3], {"stop_loss": 5e-3, "trace_every": 7}),
-        # ... or inside the first block (iterations 210-253)
-        ([0, 1, 2, 3], {"stop_loss": 0.05}),
-        # ... or in different slices of the second and third blocks
-        # (iterations 945-1060), traced at points that do not divide a slice
-        (range(8), {"stop_loss": 2e-3, "trace_every": 5}),
+        # blocks of 512, 512 and 76 iterations, the last of which ends
+        # mid-slice ...
+        ([0], {"n_max": 1100}),
+        ([0, 1, 2, 3], {"n_max": 1100, "trace_every": 7}),
+        ([0, 1, 2, 3], {"n_max": 1100}),
+        # ... traced at points that do not divide a slice
+        (range(8), {"n_max": 1100, "trace_every": 5}),
     ],
 )
 def test_engine_matches_per_iteration_oracle(seeds, overrides):
@@ -189,34 +170,8 @@ def test_engine_matches_per_iteration_oracle(seeds, overrides):
     want = reference_solve_many(scenario.spec, scenario.chain, params, seeds)
     for g, w in zip(got, want, strict=True):
         assert_same_outcome(g, w)
+        assert g.iterations == params.n_max
         assert g.evaluations == 2 * g.iterations
-    if "stop_loss" in overrides:
-        assert all(g.iterations < params.n_max for g in got)
-
-
-def test_batch_ends_when_every_seed_has_stopped(monkeypatch):
-    # Seeds 0-3 stop at iterations 210-253, inside the first block. The
-    # oracle measures through the last of them; the engine through the end
-    # of the slice that holds it, iteration 256, and no further: the initial
-    # trace point, one call per iteration and one per slice's trace points.
-    scenario = builtin("1.1")
-    params = SolverParams(stop_loss=0.05)
-    calls = []
-
-    def counting(self, configs, out=None):
-        calls.append(len(configs))
-        return EVALUATE_MANY(self, configs, out=out)
-
-    monkeypatch.setattr(LossEvaluator, "evaluate_many", counting)
-    got = solve_many(scenario.spec, scenario.chain, params, SEEDS)
-    engine_calls = len(calls)
-    calls.clear()
-    reference_solve_many(scenario.spec, scenario.chain, params, SEEDS)
-    last = max(g.iterations for g in got)
-    slice_end = -(-last // optimizer._SCAN_ROWS) * optimizer._SCAN_ROWS
-    assert slice_end == 256
-    assert engine_calls == 1 + slice_end + slice_end // optimizer._SCAN_ROWS
-    assert len(calls) == 1 + 3 * last
 
 
 def test_one_loss_call_per_iteration_and_per_traced_slice(monkeypatch):
@@ -363,19 +318,17 @@ def test_non_finite_iterate_is_named_as_such(monkeypatch):
         assert_same_outcome(outcomes[s], clean[s])
 
 
-def test_stop_at_a_large_step_matches_oracle(monkeypatch):
-    # Seed 1 takes by far its largest step at iteration 700 and stops on the
-    # trace point right after it, mid-block.
-    params = SolverParams(
-        n_max=N_MAX, trace_every=INJECT_AT, variant="spsa", a=1e-3, stop_loss=1e-9
-    )
+def test_large_mid_block_step_matches_oracle(monkeypatch):
+    # Seed 1 takes by far its largest step at iteration 700, mid-block, and
+    # runs on to n_max.
+    params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, variant="spsa", a=1e-3)
     scenario = builtin("1.1")
-    plan = {(INJECT_AT, "plus", 1): 1e3, (INJECT_AT, "trace", 1): 0.0}
+    plan = {(INJECT_AT, "plus", 1): 1e3}
     injecting(monkeypatch, plan, engine_positions(params))
     got = run_batch(params)
     injecting(monkeypatch, plan, oracle_positions(params))
     want = reference_solve_many(scenario.spec, scenario.chain, params, SEEDS, True)
-    assert got[1].iterations == INJECT_AT and got[1].final_loss == 0.0
+    assert got[1].iterations == N_MAX
     assert got[1].max_step_inf > 10 * max(got[s].max_step_inf for s in (0, 2, 3))
     for g, w in zip(got, want, strict=True):
         assert_same_outcome(g, w)
@@ -421,7 +374,7 @@ def test_seed_alone_matches_its_batch_row_over_a_full_trace(scenario_id):
 
 def test_evaluations_are_counted_not_assumed(monkeypatch):
     # n_max is a multiple neither of the block nor of trace_every, and no
-    # seed stops or faults, so every loss call the evaluator counts belongs
+    # seed faults, so every loss call the evaluator counts belongs
     # to some record's evaluations or trace_evaluations.
     evaluators = []
 
@@ -488,13 +441,14 @@ def test_block_lengths_follow_the_batch_shape():
     assert {s: optimizer._block_length(*s) for s in shapes} == shapes
 
 
-@pytest.mark.parametrize("case", ["stop_mid_block", "odd_joints", "nan_loss"])
+@pytest.mark.parametrize("case", ["traced", "odd_joints", "nan_loss"])
 def test_block_length_does_not_change_outcomes(monkeypatch, case):
     plan = None
-    if case == "stop_mid_block":
+    if case == "traced":
+        # n_max is a multiple of neither block length
         scenario = builtin("1.1")
         spec, chain = scenario.spec, scenario.chain
-        params = SolverParams(stop_loss=0.05, trace_every=7)
+        params = SolverParams(n_max=1100, trace_every=7)
     elif case == "odd_joints":
         # n_max is a multiple of neither block length
         spec, chain = three_joint_problem()
@@ -517,8 +471,6 @@ def test_block_length_does_not_change_outcomes(monkeypatch, case):
     got = run()
     for g, w in zip(got, want, strict=True):
         assert_same_outcome(g, w)
-    if case == "stop_mid_block":
-        assert all(g.iterations < 512 for g in got)
     if case == "nan_loss":
         assert got[1].iteration == INJECT_AT
         assert str(got[1]) == f"non-finite loss at iteration {INJECT_AT} (seed 1)"

@@ -118,6 +118,15 @@ class TestChainModel:
         with pytest.raises(ValueError):
             ChainModel((1.0, 1.0), joint_limits=((0,), (0,)))
 
+    @pytest.mark.parametrize("limits", [((math.nan, 0), (10, 10)), ((0, 0), (10, math.nan))])
+    def test_nan_joint_limit_rejected(self, limits):
+        with pytest.raises(ValueError, match="NaN"):
+            ChainModel((1.0, 1.0), joint_limits=limits)
+
+    def test_infinite_joint_limits_allowed(self):
+        chain = ChainModel((1.0, 1.0), joint_limits=((-math.inf, 0), (math.inf, math.inf)))
+        assert chain.joint_limits == ((-math.inf, 0.0), (math.inf, math.inf))
+
 
 class TestForwardKinematics:
     def test_bent_eight_link(self):

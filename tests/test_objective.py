@@ -62,6 +62,15 @@ class TestObjectiveSpecValidation:
         with pytest.raises(ValueError, match="w_jmc"):
             bent_eight_spec(w_jmc=-0.1)
 
+    @pytest.mark.parametrize("name", ["w_jmc", "w_ee"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            bent_eight_spec(**{name: value})
+
+    def test_accepts_zero_w_jmc(self):
+        assert bent_eight_spec(w_jmc=0.0).w_jmc_norm == 0.0
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ObjectiveSpec(

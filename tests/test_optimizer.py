@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -74,7 +75,7 @@ class TestSolverParamsValidation:
         [
             {"a": 0.0}, {"c": -1.0}, {"alpha": 0.0}, {"gamma": 0.0}, {"d": 0.0},
             {"A": -1.0}, {"n_max": 0}, {"variant": "adam"},
-            {"trace_every": 0}, {"stop_loss": math.inf},
+            {"trace_every": 0},
         ],
     )
     def test_rejects(self, kwargs):
@@ -222,6 +223,18 @@ class TestSolve:
         assert rec.final_loss == rec.loss_trace[-1]
         assert rec.trace_evaluations == 4
 
+    def test_losses_are_read_from_the_trace(self):
+        scenario = builtin("1.1")
+        rec = solve(scenario.spec, scenario.chain, SolverParams(n_max=300, trace_every=7), 0)
+        assert len(dataclasses.fields(RunRecord)) == 10
+        trace = rec.loss_trace
+        assert (rec.initial_loss, rec.final_loss, rec.best_loss) == (
+            trace[0], trace[-1], trace.min()
+        )
+        assert {type(rec.initial_loss), type(rec.final_loss), type(rec.best_loss)} == {float}
+        with pytest.raises(AttributeError):
+            rec.final_loss = 0.0
+
     def test_deterministic_given_seed(self):
         spec, chain = quadratic_scenario()
         params = SolverParams(n_max=300)
@@ -301,15 +314,6 @@ class TestSolve:
         assert rec.final_iterate.min() >= lo - 1e-12
         assert rec.final_iterate.max() <= hi + 1e-12
         assert rec.max_step_inf <= DEFAULTS.d * (1 + 1e-9)
-
-    def test_stop_loss_ends_run_early(self):
-        scenario = builtin("1.1")
-        params = SolverParams(n_max=25000, stop_loss=5e-3)
-        rec = solve(scenario.spec, scenario.chain, params, 0)
-        assert rec.final_loss <= 5e-3
-        assert rec.iterations < 25000
-        assert rec.evaluations == 2 * rec.iterations
-        assert rec.trace_iterations[-1] == rec.iterations
 
     def test_divergent_plain_spsa_faults_with_iteration(self):
         spec, chain = quadratic_scenario()
