@@ -24,14 +24,7 @@ from .kinematics import (
     mod_floor,
     pose_error,
 )
-from .objective import (
-    LossEvaluator,
-    ObjectiveSpec,
-    combined_loss,
-    default_r_ee,
-    end_effector_cost,
-    joint_motion_cost,
-)
+from .objective import LossEvaluator, ObjectiveSpec, default_r_ee
 from .optimizer import (
     RunRecord,
     SolverParams,
@@ -60,11 +53,8 @@ __all__ = [
     "SolverParams",
     "builtin",
     "builtin_ids",
-    "combined_loss",
     "default_r_ee",
-    "end_effector_cost",
     "forward_kinematics",
-    "joint_motion_cost",
     "joint_positions",
     "load_scenario",
     "mod_floor",

@@ -27,7 +27,8 @@ SOCIAL = 1.49618
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm size, evaluation budget, initialization, and seed. The
+    """Swarm size, evaluation budget and initialization, shared by every
+    seed of a comparison (the seed is an argument of ``pso_solve``). The
     velocity coefficients are the constants ``INERTIA``, ``COGNITIVE`` and
     ``SOCIAL``.
 
@@ -40,7 +41,6 @@ class PsoParams:
     population: int = 100
     eval_budget: int = 50000
     init_spread: float = 20.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.population < 2:
@@ -52,21 +52,25 @@ class PsoParams:
             )
         if self.init_spread < 0:
             raise ValueError(f"init_spread must be nonnegative, got {self.init_spread}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def pso_solve(spec: ObjectiveSpec, chain: ChainModel, params: PsoParams) -> RunRecord:
-    """Minimize the loss with gbest PSO under an exact evaluation budget.
+def pso_solve(
+    spec: ObjectiveSpec, chain: ChainModel, params: PsoParams, seed: int
+) -> RunRecord:
+    """Minimize the loss with gbest PSO under an exact evaluation budget,
+    seeded from ``seed``, which must be nonnegative (a negative one raises
+    ``ValueError``).
 
     The final generation is truncated so that exactly ``eval_budget`` loss
     measurements are consumed. Unlike the SPSA-style solver this returns
     best-so-far (standard for PSO); ``loss_trace`` holds the global best
     after each generation and ``trace_iterations`` the generation index.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     evaluator = LossEvaluator(spec, chain)
     started = time.perf_counter()
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     pop = params.population
     n = chain.n
     spread = params.init_spread
@@ -128,6 +132,6 @@ def pso_solve(spec: ObjectiveSpec, chain: ChainModel, params: PsoParams) -> RunR
         trace_evaluations=0,
         iterations=generation,
         max_step_inf=float("nan"),
-        seed=params.seed,
+        seed=seed,
         elapsed=time.perf_counter() - started,
     )

@@ -197,15 +197,12 @@ def cmd_compare(args) -> int:
         ]
     )
     pso_losses = np.full(len(seeds), np.nan)
+    pso_params = PsoParams(
+        population=args.population, eval_budget=budget, init_spread=args.init_spread
+    )
     for i, seed in enumerate(seeds):
-        pso_params = PsoParams(
-            population=args.population,
-            eval_budget=budget,
-            init_spread=args.init_spread,
-            seed=seed,
-        )
         try:
-            pso_losses[i] = pso_solve(spec, scenario.chain, pso_params).final_loss
+            pso_losses[i] = pso_solve(spec, scenario.chain, pso_params, seed).final_loss
         except SolverFault:
             pass
     out = _outdir(args)

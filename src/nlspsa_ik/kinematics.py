@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEG2RAD = math.pi / 180.0
+# A numpy scalar keeps the degree-to-radian multiply in pose_rows on the
+# fast path.
+_DEG2RAD = np.float64(DEG2RAD)
 
 
 def mod_floor(alpha: float, beta: float) -> float:
@@ -104,19 +107,45 @@ def _check_joint_vector(chain: ChainModel, q) -> np.ndarray:
     return q
 
 
+def pose_rows(configs, weights, ang, trig, sums, theta) -> None:
+    """Poses of the rows of ``configs`` (m, n), written to buffers the caller owns.
+
+    ``ang`` (m, n) receives the cumulative joint angles in radians and the
+    last two slabs of ``trig`` (k, m, n) their cos and sin. One ``np.vecdot``
+    reduces all of ``trig`` against ``weights`` into ``sums`` (k, m), so the
+    last two rows of ``sums`` are x and y. ``weights`` is the link lengths,
+    or a (k, 1, n) stack whose last two rows are: a caller may fill the
+    leading slabs of ``trig`` with rows of its own to share that call.
+    ``theta`` (m,) receives the joint sum wrapped into [0, 360). The per-row
+    reductions do not depend on m, so a row's pose has the same bits in
+    every batch.
+    """
+    np.add.accumulate(configs, 1, None, ang)
+    np.multiply(ang, _DEG2RAD, ang)
+    np.cos(ang, trig[-2])
+    np.sin(ang, trig[-1])
+    np.vecdot(trig, weights, sums)
+    np.add.reduce(configs, 1, None, theta)
+    # mod_floor's two remainders: a tiny negative total has remainder 360.0
+    # after rounding, and the second maps it to 0.
+    np.remainder(theta, 360.0, theta)
+    np.remainder(theta, 360.0, theta)
+
+
 def forward_kinematics(chain: ChainModel, q) -> Pose:
     """End-effector pose for joint angles ``q`` (degrees).
 
     x = sum_p L_p cos(q_1 + ... + q_p), y likewise with sin, and the
     orientation is the floored-modulo remainder of the angle sum in [0, 360).
+    This is :func:`pose_rows` on one row.
     """
     q = _check_joint_vector(chain, q)
-    lengths = np.asarray(chain.link_lengths)
-    angles = np.cumsum(q) * DEG2RAD
-    x = float(np.cos(angles) @ lengths)
-    y = float(np.sin(angles) @ lengths)
-    theta = mod_floor(float(q.sum()), 360.0)
-    return Pose(x, y, theta)
+    pose = np.empty(3)
+    pose_rows(
+        q[None, :], np.asarray(chain.link_lengths), np.empty((1, chain.n)),
+        np.empty((2, 1, chain.n)), pose[:2, None], pose[2:],
+    )
+    return Pose(*pose.tolist())
 
 
 def joint_positions(chain: ChainModel, q) -> np.ndarray:
@@ -130,17 +159,17 @@ def joint_positions(chain: ChainModel, q) -> np.ndarray:
     return pts
 
 
-def pose_error(target: Pose, current: Pose) -> np.ndarray:
-    """Raw componentwise error [x*-x, y*-y, theta*-theta].
+def pose_errors(target: np.ndarray, poses: np.ndarray, out=None) -> np.ndarray:
+    """Raw error of pose columns against a target column: ``target - poses``.
 
-    The orientation component is an unwrapped difference of degree values in
-    [0, 360); the ~360 deg discontinuity near the 0/360 boundary is a known
-    hazard of this convention.
+    ``target`` is the (3, 1) column [x*, y*, theta*] and ``poses`` has rows
+    x, y and theta. The orientation row is an unwrapped difference of degree
+    values in [0, 360); the ~360 deg discontinuity near the 0/360 boundary
+    is a known hazard of this convention.
     """
-    return np.array(
-        [
-            target.x - current.x,
-            target.y - current.y,
-            target.theta_deg - current.theta_deg,
-        ]
-    )
+    return np.subtract(target, poses, out)
+
+
+def pose_error(target: Pose, current: Pose) -> np.ndarray:
+    """Raw componentwise error [x*-x, y*-y, theta*-theta] (see :func:`pose_errors`)."""
+    return pose_errors(target.as_array()[:, None], current.as_array()[:, None])[:, 0]

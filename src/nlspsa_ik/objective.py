@@ -2,8 +2,13 @@
 
 The loss blends two quadratic forms: an end-effector accuracy term over the
 pose error and a joint-motion-cost term over the displacement from a
-reference configuration. The two weights are normalized so that scaling both
-by a common factor leaves the loss unchanged.
+reference configuration,
+
+    J(q) = [w_jmc * dq' Q_jmc dq + w_ee * e' R_ee e] / (w_jmc + w_ee),
+
+with dq = q - reference and e the pose error. The two weights are
+normalized so that scaling both by a common factor leaves the loss
+unchanged. :class:`LossEvaluator` is its one implementation.
 """
 from __future__ import annotations
 
@@ -11,11 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import ChainModel, Pose, forward_kinematics, pose_error, DEG2RAD
-
-# A numpy scalar keeps the degree-to-radian multiply in evaluate_many on the
-# fast path.
-_DEG2RAD = np.float64(DEG2RAD)
+from .kinematics import DEG2RAD, ChainModel, Pose, pose_errors, pose_rows
 
 
 def _as_spd_matrix(m, dim: int, name: str) -> np.ndarray:
@@ -83,32 +84,6 @@ class ObjectiveSpec:
         return self.w_ee / (self.w_jmc + self.w_ee)
 
 
-def end_effector_cost(spec: ObjectiveSpec, chain: ChainModel, q) -> float:
-    """Pose-accuracy cost: quadratic form of the pose error under r_ee."""
-    eps = pose_error(spec.target, forward_kinematics(chain, q))
-    return float(eps @ spec.r_ee @ eps)
-
-
-def joint_motion_cost(spec: ObjectiveSpec, q) -> float:
-    """Displacement cost: quadratic form of (q - reference) under q_jmc."""
-    if np.shape(q) != spec.reference.shape:
-        raise ValueError(
-            f"joint vector has shape {np.shape(q)}, expected {spec.reference.shape}"
-        )
-    dq = np.asarray(q, dtype=float) - spec.reference
-    return float(dq @ spec.q_jmc @ dq)
-
-
-def combined_loss(spec: ObjectiveSpec, chain: ChainModel, q) -> float:
-    """Normalized blend of motion cost and end-effector cost.
-
-    J(q) = [w_jmc * J_motion(q) + w_ee * J_ee(q)] / (w_jmc + w_ee).
-    """
-    return spec.w_jmc_norm * joint_motion_cost(spec, q) + spec.w_ee_norm * end_effector_cost(
-        spec, chain, q
-    )
-
-
 def default_r_ee() -> np.ndarray:
     """Default pose-error weights: diag{1, 1, 5*(2pi/360)^2} / 7."""
     return np.diag([1.0, 1.0, 5.0 * DEG2RAD**2]) / 7.0
@@ -118,10 +93,13 @@ def default_r_ee() -> np.ndarray:
 class LossEvaluator:
     """Precomputed evaluator for repeated loss measurements.
 
-    Produces the same values as :func:`combined_loss` but avoids revalidating
-    inputs on every call and supports evaluating a batch of configurations at
-    once (rows of a 2-D array). ``calls`` counts one measurement per
-    configuration evaluated.
+    Evaluates the loss of one configuration, or of a batch of them at once
+    (rows of a 2-D array), without revalidating inputs on every call.
+    ``calls`` counts one measurement per configuration evaluated. The
+    scalar ``combined_loss`` of ``tests/oracle.py`` agrees with it within
+    1e-12 relative but differs in the last bit on some rows;
+    ``frozen_evaluate_many`` in ``tests/test_objective.py`` is the
+    bit-identity oracle.
 
     Work buffers are kept per row count and reused by every call, so one
     evaluator must not be shared between threads.
@@ -155,7 +133,10 @@ class LossEvaluator:
         self._work: dict[int, tuple] = {}
 
     def __call__(self, q) -> float:
-        return float(self.evaluate_many(np.asarray(q, dtype=float)[None, :])[0])
+        q = np.asarray(q, dtype=float)
+        if q.shape != self._q0.shape:  # a 1-entry q would broadcast
+            raise ValueError(f"joint vector has shape {q.shape}, expected {self._q0.shape}")
+        return float(self.evaluate_many(q[None, :])[0])
 
     def _buffers(self, m: int) -> tuple:
         # ang (m, n); w (3, m, n) = [dq, cos, sin]; r (4, m) = [jjmc, x, y,
@@ -167,7 +148,7 @@ class LossEvaluator:
         if len(self._work) >= 8:  # the engine uses a few row counts per run
             self._work.clear()
         self._work[m] = work = (
-            ang, w[0], w[1], w[2], w[self._sum_from :], r[self._sum_from : 3],
+            ang, w[0], w[self._sum_from :], r[self._sum_from : 3],
             r[0], r[1], r[3], r[1:], r[:2], terms,
         )
         return work
@@ -176,32 +157,26 @@ class LossEvaluator:
         """Loss for each row of ``configs`` (shape (m, n)); counts m calls.
 
         Every row goes through the same arithmetic whatever ``m`` is: the
-        row sums use ``np.vecdot``, whose per-row reduction does not depend
-        on the row count (a BLAS matrix-vector product does). The result is
-        written to ``out`` when given, else to a new array.
+        pose comes from :func:`~nlspsa_ik.kinematics.pose_rows`, whose
+        per-row reductions do not depend on the row count (a BLAS
+        matrix-vector product's do). The result is written to ``out`` when
+        given, else to a new array.
         """
         m = configs.shape[0]
         self.calls += m
         work = self._work.get(m) or self._buffers(m)
-        ang, dq, cos, sin, stacked, sums, jjmc, jee, theta, err, blend, terms = work
+        ang, dq, stacked, sums, jjmc, jee, theta, err, blend, terms = work
         # Ufuncs are called directly, outputs passed by position: cumsum,
         # sum and the in-place operators are slower routes to the same loops.
-        np.add.accumulate(configs, 1, None, ang)
-        np.multiply(ang, _DEG2RAD, ang)
-        np.cos(ang, cos)
-        np.sin(ang, sin)
         np.subtract(configs, self._q0, dq)
         if self._q_full is None:
+            # dq^2 shares the pose's vecdot call, which sums it against the
+            # q_jmc diagonal.
             np.multiply(dq, dq, dq)
         else:
             np.einsum("ij,jk,ik->i", dq, self._q_full, dq, out=jjmc)
-        np.vecdot(stacked, self._sum_weights, sums)
-        np.add.reduce(configs, 1, None, theta)
-        # A tiny negative total has remainder 360.0 after rounding; the
-        # second remainder maps it to 0 and leaves [0, 360) unchanged.
-        np.remainder(theta, 360.0, theta)
-        np.remainder(theta, 360.0, theta)
-        np.subtract(self._target, err, err)
+        pose_rows(configs, self._sum_weights, ang, stacked, sums, theta)
+        pose_errors(self._target, err, err)
         if self._r_col is not None:
             np.multiply(self._r_col, err, terms)
             np.multiply(terms, err, terms)

@@ -6,7 +6,7 @@ two fully-stretched singular starts) and a 20-joint chain (ids 2.1-2.3,
 including a near-singular target and a singular start). Each scenario is
 self-consistent: the encoded initial pose must equal forward kinematics of
 the reference configuration, and the encoded initial loss must match the
-combined loss there.
+loss there.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .artifacts import (
 )
 from .errors import ScenarioFormatError, ScenarioLookupError
 from .kinematics import DEG2RAD, ChainModel, Pose, forward_kinematics
-from .objective import ObjectiveSpec, _is_diagonal, combined_loss, default_r_ee
+from .objective import LossEvaluator, ObjectiveSpec, _is_diagonal, default_r_ee
 
 POSE_TOLERANCE = 1e-9
 LOSS_TOLERANCE = 5e-5  # 4-decimal rounding of the encoded values
@@ -61,7 +61,7 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ScenarioFormatError(f"scenario {self.id!r}: {name} is {value}")
-        loss = combined_loss(self.spec, self.chain, self.spec.reference)
+        loss = LossEvaluator(self.spec, self.chain)(self.spec.reference)
         if abs(loss - self.expected_initial_loss) > LOSS_TOLERANCE:
             raise ScenarioFormatError(
                 f"scenario {self.id!r}: initial loss {loss:.6f} does not match "
@@ -228,7 +228,7 @@ def load_scenario(path) -> Scenario:
         if "expected_initial_loss" in doc:
             initial_loss = float(doc["expected_initial_loss"])
         else:
-            initial_loss = combined_loss(spec, chain, spec.reference)
+            initial_loss = LossEvaluator(spec, chain)(spec.reference)
         reported = doc.get("reported_final_loss")
         return Scenario(
             id=scenario_id,

@@ -11,7 +11,7 @@ import pytest
 
 from nlspsa_ik.baseline import PsoParams, pso_solve
 from nlspsa_ik.kinematics import ChainModel, forward_kinematics, mod_floor
-from nlspsa_ik.objective import combined_loss
+from nlspsa_ik.objective import LossEvaluator
 from nlspsa_ik.optimizer import (
     SolverParams,
     saturate,
@@ -71,7 +71,7 @@ def test_criterion_2_exact_initial_loss_oracle():
     worst = 0.0
     for sid in ALL_IDS:
         s = builtin(sid)
-        loss = combined_loss(s.spec, s.chain, s.spec.reference)
+        loss = LossEvaluator(s.spec, s.chain)(s.spec.reference)
         worst = max(worst, abs(loss - s.expected_initial_loss))
     check(
         "criterion 2 (exact initial-loss oracle)",
@@ -149,15 +149,14 @@ def test_criterion_6_beats_pso_budget_matched(sweeps):
     for sid in COMPARE_IDS:
         s = builtin(sid)
         nlspsa_median = float(np.median([r.final_loss for r in sweeps[sid]]))
-        pso_finals = []
-        for seed in SEEDS:
-            params = PsoParams(
-                population=PSO_POPULATION,
-                eval_budget=PSO_BUDGET,
-                init_spread=PSO_INIT_SPREAD,
-                seed=seed,
-            )
-            pso_finals.append(pso_solve(s.spec, s.chain, params).final_loss)
+        params = PsoParams(
+            population=PSO_POPULATION,
+            eval_budget=PSO_BUDGET,
+            init_spread=PSO_INIT_SPREAD,
+        )
+        pso_finals = [
+            pso_solve(s.spec, s.chain, params, seed).final_loss for seed in SEEDS
+        ]
         pso_median = float(np.median(pso_finals))
         details.append(f"{sid}: {nlspsa_median:.4e} vs PSO {pso_median:.4e}")
         ok = ok and nlspsa_median < pso_median
@@ -258,17 +257,17 @@ def test_criterion_8_invariant_suites():
         ).max() > 1e-9:
             failures.append("FK 360-periodicity")
 
-    # weight scaling leaves the combined loss unchanged
+    # weight scaling leaves the loss unchanged
     s = builtin("1.5")
     q = rng.uniform(-90, 90, 8)
-    base = combined_loss(s.spec, s.chain, q)
+    base = LossEvaluator(s.spec, s.chain)(q)
     for scale in (1e-6, 0.5, 7.0, 1e6):
         import dataclasses
 
         scaled_spec = dataclasses.replace(
             s.spec, w_jmc=s.spec.w_jmc * scale, w_ee=s.spec.w_ee * scale
         )
-        if abs(combined_loss(scaled_spec, s.chain, q) - base) > 1e-12 * max(base, 1.0):
+        if abs(LossEvaluator(scaled_spec, s.chain)(q) - base) > 1e-12 * max(base, 1.0):
             failures.append(f"weight scaling at {scale}")
 
     # scenario self-consistency (also re-validated on every construction)

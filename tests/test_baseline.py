@@ -39,26 +39,26 @@ class TestPsoParamsValidation:
         with pytest.raises(ValueError):
             PsoParams(init_spread=-1.0)
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            PsoParams(seed=-1)
-
 
 class TestPsoSolve:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            pso_solve(sphere_spec(), ChainModel.unit_links(2), PsoParams(), -1)
+
     def test_sphere_sanity(self):
         spec = sphere_spec()
         chain = ChainModel.unit_links(2)
         finals = []
         for seed in range(20):
-            params = PsoParams(population=20, eval_budget=10000, seed=seed)
-            finals.append(pso_solve(spec, chain, params).final_loss)
+            params = PsoParams(population=20, eval_budget=10000)
+            finals.append(pso_solve(spec, chain, params, seed).final_loss)
         assert np.median(finals) <= 1e-6
 
     def test_budget_equal_population_returns_best_initial_particle(self):
         spec = sphere_spec()
         chain = ChainModel.unit_links(2)
-        params = PsoParams(population=30, eval_budget=30, seed=5)
-        rec = pso_solve(spec, chain, params)
+        params = PsoParams(population=30, eval_budget=30)
+        rec = pso_solve(spec, chain, params, 5)
         # recompute the initial sample independently
         rng = np.random.default_rng(5)
         positions = spec.reference + rng.uniform(-20.0, 20.0, size=(30, 2))
@@ -72,7 +72,7 @@ class TestPsoSolve:
         chain = ChainModel.unit_links(2)
         evaluator_budget = 457  # 100 + 3*100 + 57: truncated last generation
         rec = pso_solve(
-            spec, chain, PsoParams(population=100, eval_budget=evaluator_budget, seed=0)
+            spec, chain, PsoParams(population=100, eval_budget=evaluator_budget), 0
         )
         assert rec.evaluations == 457
         assert rec.iterations == 4
@@ -81,7 +81,7 @@ class TestPsoSolve:
         scenario = builtin("1.1")
         rec = pso_solve(
             scenario.spec, scenario.chain,
-            PsoParams(population=25, eval_budget=2000, seed=3),
+            PsoParams(population=25, eval_budget=2000), 3,
         )
         assert np.all(np.diff(rec.loss_trace) <= 0.0)
         assert rec.final_loss == rec.loss_trace[-1]
@@ -90,9 +90,9 @@ class TestPsoSolve:
 
     def test_deterministic_per_seed(self):
         scenario = builtin("1.1")
-        params = PsoParams(population=20, eval_budget=1000, seed=9)
-        a = pso_solve(scenario.spec, scenario.chain, params)
-        b = pso_solve(scenario.spec, scenario.chain, params)
+        params = PsoParams(population=20, eval_budget=1000)
+        a = pso_solve(scenario.spec, scenario.chain, params, 9)
+        b = pso_solve(scenario.spec, scenario.chain, params, 9)
         assert np.array_equal(a.final_iterate, b.final_iterate)
         assert a.final_loss == b.final_loss
 
@@ -100,7 +100,7 @@ class TestPsoSolve:
         scenario = builtin("2.1")
         rec = pso_solve(
             scenario.spec, scenario.chain,
-            PsoParams(population=50, eval_budget=5000, seed=1),
+            PsoParams(population=50, eval_budget=5000), 1,
         )
         from nlspsa_ik.kinematics import forward_kinematics
 
@@ -122,21 +122,21 @@ class TestPsoSolve:
             return values
 
         monkeypatch.setattr(LossEvaluator, "evaluate_many", injecting)
-        params = PsoParams(population=10, eval_budget=100, seed=2)
+        params = PsoParams(population=10, eval_budget=100)
         with pytest.raises(SolverFault) as excinfo:
-            pso_solve(sphere_spec(), ChainModel.unit_links(2), params)
+            pso_solve(sphere_spec(), ChainModel.unit_links(2), params, 2)
         assert excinfo.value.iteration == generation
         assert len(calls) == generation + 1
         where = "initial population" if generation == 0 else f"generation {generation}"
         assert str(excinfo.value) == f"non-finite loss in {where}"
 
 
-def frozen_pso_generations(spec, chain, params):
+def frozen_pso_generations(spec, chain, params, seed):
     """The generation loop of pso_solve before it reused its buffers, kept
     verbatim as a bit-identity oracle. Returns the global best, the trace of
     global bests and the number of evaluations."""
     evaluator = LossEvaluator(spec, chain)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     pop = params.population
     n = chain.n
     spread = params.init_spread
@@ -192,9 +192,11 @@ PSO_SETTINGS = {
 def test_generation_step_matches_frozen_loop(scenario_id, setting):
     scenario = builtin(scenario_id)
     for seed in (0, 1, 2):
-        params = PsoParams(seed=seed, **PSO_SETTINGS[setting])
-        rec = pso_solve(scenario.spec, scenario.chain, params)
-        final, trace, evals = frozen_pso_generations(scenario.spec, scenario.chain, params)
+        params = PsoParams(**PSO_SETTINGS[setting])
+        rec = pso_solve(scenario.spec, scenario.chain, params, seed)
+        final, trace, evals = frozen_pso_generations(
+            scenario.spec, scenario.chain, params, seed
+        )
         assert np.array_equal(rec.final_iterate, final)
         assert np.array_equal(rec.loss_trace, trace)
         assert rec.evaluations == evals == params.eval_budget

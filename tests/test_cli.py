@@ -21,10 +21,11 @@ from nlspsa_ik import cli
 from nlspsa_ik.cli import main
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
-from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, combined_loss, default_r_ee
+from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
 from nlspsa_ik.optimizer import SolverParams, solve
 from nlspsa_ik.scenarios import Scenario, builtin, save_scenario
 from nlspsa_ik.svgplot import convergence_svg, posture_svg
+from oracle import combined_loss
 
 
 def run_cli(*args):
@@ -464,9 +465,9 @@ class TestCompareCommand:
             calls.append(("nlspsa", params.n_max, params.trace_every))
             return solve_many(spec, chain, params, seeds)
 
-        def recording_pso_solve(spec, chain, params):
+        def recording_pso_solve(spec, chain, params, seed):
             calls.append(("pso", params.eval_budget))
-            return pso_solve(spec, chain, params)
+            return pso_solve(spec, chain, params, seed)
 
         monkeypatch.setattr(cli, "solve_many", recording_solve_many)
         monkeypatch.setattr(cli, "pso_solve", recording_pso_solve)

@@ -278,9 +278,13 @@ def injecting(monkeypatch, plan, positions):
     monkeypatch.setattr(LossEvaluator, "evaluate_many", evaluate_many)
 
 
+# Built before any test replaces evaluate_many: building a scenario
+# evaluates its initial loss, which would shift the injected call numbers.
+SCENARIO_1_1 = builtin("1.1")
+
+
 def run_batch(params):
-    scenario = builtin("1.1")
-    return solve_many(scenario.spec, scenario.chain, params, SEEDS)
+    return solve_many(SCENARIO_1_1.spec, SCENARIO_1_1.chain, params, SEEDS)
 
 
 @pytest.mark.parametrize("measurement", ["plus", "minus"])

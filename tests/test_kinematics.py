@@ -11,7 +11,22 @@ from nlspsa_ik.kinematics import (
     joint_positions,
     mod_floor,
     pose_error,
+    pose_errors,
+    pose_rows,
 )
+from nlspsa_ik.scenarios import builtin, builtin_ids
+from oracle import scalar_pose
+
+
+def core_poses(chain: ChainModel, configs: np.ndarray) -> np.ndarray:
+    """pose_rows on buffers of its own: the (3, m) rows x, y and theta."""
+    m, n = configs.shape
+    poses = np.empty((3, m))
+    pose_rows(
+        configs, np.asarray(chain.link_lengths), np.empty((m, n)),
+        np.empty((2, m, n)), poses[:2], poses[2],
+    )
+    return poses
 
 
 class TestModFloor:
@@ -67,8 +82,10 @@ class TestModFloor:
         assert pose.theta_deg == 0.0 and not np.signbit(pose.theta_deg)
 
     def test_bits_match_the_loss_wrap(self):
-        # mod_floor is Python's float % twice and the loss wraps theta as
-        # np.remainder twice: the same IEEE operations, so the same bits
+        # mod_floor is Python's float % twice and pose_rows, which computes
+        # the loss's pose, wraps theta as np.remainder twice: the same IEEE
+        # operations, so the same bits. A one-link chain's theta is its one
+        # joint wrapped, so the table is that chain's joint column.
         k = np.arange(-4, 5) * 360.0
         offsets = np.array([0.0, 1e-300, -1e-300, 1e-14, -1e-14, 1e-9, -1e-9,
                             0.5, -0.5, 180.0, -180.0, 359.999, -359.999])
@@ -77,7 +94,7 @@ class TestModFloor:
             np.nextafter(k, np.inf), np.nextafter(k, -np.inf),
             [-0.0, 1e12 + 0.3, -1e12 - 0.3, 7.0e15, -7.0e15],
         ])
-        want = np.remainder(np.remainder(table, 360.0), 360.0)
+        want = core_poses(ChainModel.unit_links(1), table[:, None])[2]
         got = np.array([mod_floor(a, 360.0) for a in table.tolist()])
         assert got.tobytes() == want.tobytes()
 
@@ -182,6 +199,54 @@ class TestForwardKinematics:
     def test_unit_chain_at_zero(self, n):
         pose = forward_kinematics(ChainModel.unit_links(n), np.zeros(n))
         assert pose.as_array() == pytest.approx([n, 0, 0], abs=1e-12)
+
+
+def _core_rows(q0: np.ndarray, seed: int) -> np.ndarray:
+    """500 rows normal around q0 (sd 20 degrees), then edge rows: joint sums
+    at k*360 and k*360 +- 1e-14, -0.0 and [-180, -180]. k*360 + 1e-14
+    rounds to k*360 unless k = 0, so the offset also gets a joint of its
+    own."""
+    n = q0.size
+    rng = np.random.default_rng(seed)
+    random = q0 + rng.normal(0.0, 20.0, size=(500, n))
+    edges = []
+    for k in range(-3, 4):
+        for offset in (-1e-14, 0.0, 1e-14):
+            row = np.zeros(n)
+            row[0] = k * 360.0 + offset
+            edges.append(row)
+            row = np.zeros(n)
+            row[0], row[-1] = k * 360.0, offset
+            edges.append(row)
+    edges.append(np.full(n, -0.0))
+    row = np.zeros(n)
+    row[:2] = -180.0
+    edges.append(row)
+    return np.concatenate([random, np.array(edges)])
+
+
+class TestPoseCore:
+    @pytest.mark.parametrize("sid", builtin_ids())
+    def test_forward_kinematics_and_pose_error_are_the_core_rows(self, sid):
+        # forward_kinematics and pose_error each run the batched core on one
+        # row; this pins that their bits equal the batch's, which the loss
+        # uses, and the scalar oracle's, which forward_kinematics was.
+        s = builtin(sid)
+        rows = _core_rows(s.spec.reference, seed=int(sid.replace(".", "")))
+        target = s.spec.target
+        poses = core_poses(s.chain, rows)
+        errors = pose_errors(target.as_array()[:, None], poses)
+        mismatched = []
+        for i, row in enumerate(rows):
+            pose = forward_kinematics(s.chain, row)
+            same = (
+                pose.as_array().tobytes() == poses[:, i].tobytes()
+                == scalar_pose(s.chain, row).as_array().tobytes()
+                and pose_error(target, pose).tobytes() == errors[:, i].tobytes()
+            )
+            if not same:
+                mismatched.append(i)
+        assert len(rows) > 500 and not mismatched
 
 
 class TestJointPositions:

@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlspsa_ik import objective
+from nlspsa_ik import kinematics, objective
 from nlspsa_ik.kinematics import ChainModel, Pose, forward_kinematics
-from nlspsa_ik.objective import (
-    LossEvaluator,
-    ObjectiveSpec,
-    combined_loss,
-    default_r_ee,
-    end_effector_cost,
-    joint_motion_cost,
-)
+from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
 from nlspsa_ik.scenarios import builtin, builtin_ids
+from oracle import combined_loss, end_effector_cost, joint_motion_cost
 
 DEG2RAD2 = (2 * math.pi / 360) ** 2
 
@@ -276,6 +270,13 @@ class TestLossEvaluator:
         with pytest.raises(ValueError):
             LossEvaluator(bent_eight_spec(), ChainModel.unit_links(20))
 
+    @pytest.mark.parametrize("q", [0.0, [0.0], np.zeros(5), np.zeros((2, 8))])
+    def test_call_rejects_a_joint_vector_of_another_shape(self, q):
+        # [0.0] broadcasts against the 8-joint reference, so only the shape
+        # check stops it.
+        with pytest.raises(ValueError, match=r"expected \(8,\)"):
+            LossEvaluator(bent_eight_spec(), CHAIN8)(q)
+
 
 def frozen_evaluate_many(spec, chain, configs):
     """The batched loss expression before its work buffers were stacked and
@@ -430,8 +431,9 @@ class TestLossEvaluatorBuffers:
 
 
 class _CountingNumpy:
-    """Stands in for the ``np`` module of nlspsa_ik.objective and counts
-    every ufunc, ufunc method and einsum call made through it."""
+    """Stands in for the ``np`` module of nlspsa_ik.objective and
+    nlspsa_ik.kinematics, whose ``pose_rows`` computes the loss's pose, and
+    counts every ufunc, ufunc method and einsum call made through it."""
 
     def __init__(self):
         self.calls = 0
@@ -441,6 +443,13 @@ class _CountingNumpy:
         if isinstance(attr, np.ufunc) or name == "einsum":
             return _Counted(self, attr)
         return attr
+
+
+def _counting_numpy(monkeypatch) -> _CountingNumpy:
+    counting = _CountingNumpy()
+    monkeypatch.setattr(objective, "np", counting)
+    monkeypatch.setattr(kinematics, "np", counting)
+    return counting
 
 
 class _Counted:
@@ -461,8 +470,7 @@ def test_diagonal_loss_makes_at_most_sixteen_numpy_calls(monkeypatch, m):
     evaluator = LossEvaluator(scenario.spec, scenario.chain)
     configs = np.tile(scenario.spec.reference, (m, 1))
     expected = evaluator.evaluate_many(configs)
-    counting = _CountingNumpy()
-    monkeypatch.setattr(objective, "np", counting)
+    counting = _counting_numpy(monkeypatch)
     got = evaluator.evaluate_many(configs)
     assert np.array_equal(got, expected)
     assert 0 < counting.calls <= 16
@@ -474,7 +482,6 @@ def test_one_row_full_r_ee_keeps_the_array_path(monkeypatch, case):
     evaluator = LossEvaluator(spec, CHAIN8)
     row = spec.reference[None, :] + 1.5
     expected = frozen_evaluate_many(spec, CHAIN8, row)
-    counting = _CountingNumpy()
-    monkeypatch.setattr(objective, "np", counting)
+    counting = _counting_numpy(monkeypatch)
     assert np.array_equal(evaluator.evaluate_many(row), expected)
     assert 0 < counting.calls <= 16

@@ -365,9 +365,8 @@ def test_public_names():
         "ArtifactError", "ChainModel", "LossEvaluator", "ObjectiveSpec", "Pose",
         "PsoParams", "RunRecord", "Scenario", "ScenarioError",
         "ScenarioFormatError", "ScenarioLookupError", "SolverFault",
-        "SolverParams", "builtin", "builtin_ids", "combined_loss",
-        "default_r_ee", "end_effector_cost", "forward_kinematics",
-        "joint_motion_cost", "joint_positions", "load_scenario", "mod_floor",
+        "SolverParams", "builtin", "builtin_ids", "default_r_ee",
+        "forward_kinematics", "joint_positions", "load_scenario", "mod_floor",
         "pose_error", "pso_solve", "saturate", "save_scenario", "solve",
         "solve_many", "spsa_gradient",
     }
