@@ -17,7 +17,6 @@ import numpy as np
 
 from .artifacts import (
     SweepReport,
-    _median,
     _none_if_nan,
     chain_from_doc,
     read_run_result,
@@ -176,13 +175,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _finished_median(losses: np.ndarray) -> float:
-    """Median over the seeds that did not fault (NaN loss). NaN when every
-    seed faulted, so that compare names no winner."""
-    finished = losses[~np.isnan(losses)]
-    return float(_median(finished)) if finished.size else np.nan
-
-
 def cmd_compare(args) -> int:
     params = _batch_params(args)
     seeds = _batch_seeds(args)
@@ -190,26 +182,25 @@ def cmd_compare(args) -> int:
     spec = _effective_spec(scenario, args)
     budget = 2 * params.n_max
     nl_outcomes = solve_many(spec, scenario.chain, params, seeds)
-    nl_losses = np.array(
-        [
-            np.nan if isinstance(o, Exception) else o.final_loss
-            for o in nl_outcomes
-        ]
-    )
-    pso_losses = np.full(len(seeds), np.nan)
     pso_params = PsoParams(
         population=args.population, eval_budget=budget, init_spread=args.init_spread
     )
-    for i, seed in enumerate(seeds):
+    pso_outcomes: list = []
+    for seed in seeds:
         try:
-            pso_losses[i] = pso_solve(spec, scenario.chain, pso_params, seed).final_loss
-        except SolverFault:
-            pass
+            pso_outcomes.append(pso_solve(spec, scenario.chain, pso_params, seed))
+        except SolverFault as fault:
+            pso_outcomes.append(fault)
+    # As in a sweep, a faulted seed's loss is NaN and the medians cover the
+    # finished seeds; a median is NaN when none finished, and then there is
+    # no winner.
+    nl = SweepReport.from_outcomes(scenario.id, spec, seeds, nl_outcomes)
+    pso = SweepReport.from_outcomes(scenario.id, spec, seeds, pso_outcomes)
+    nl_median = nl.stats().get("median_final_loss", np.nan)
+    pso_median = pso.stats().get("median_final_loss", np.nan)
     out = _outdir(args)
     stem = f"compare_{_safe_name(scenario.id)}"
-    write_compare_csv(out / f"{stem}.csv", seeds, nl_losses, pso_losses)
-    nl_median = _finished_median(nl_losses)
-    pso_median = _finished_median(pso_losses)
+    write_compare_csv(out / f"{stem}.csv", seeds, nl.final_losses, pso.final_losses)
     if np.isnan(nl_median) or np.isnan(pso_median):
         winner = None
     else:
@@ -222,8 +213,8 @@ def cmd_compare(args) -> int:
             "population": args.population,
             "init_spread": args.init_spread,
             "seeds": seeds,
-            "nlspsa_losses": [_none_if_nan(v) for v in nl_losses],
-            "pso_losses": [_none_if_nan(v) for v in pso_losses],
+            "nlspsa_losses": [_none_if_nan(v) for v in nl.final_losses],
+            "pso_losses": [_none_if_nan(v) for v in pso.final_losses],
             "nlspsa_median": _none_if_nan(nl_median),
             "pso_median": _none_if_nan(pso_median),
             "winner": winner,

@@ -101,7 +101,7 @@ class LossEvaluator:
     ``frozen_evaluate_many`` in ``tests/test_objective.py`` is the
     bit-identity oracle.
 
-    Work buffers are kept per row count and reused by every call, so one
+    Work buffers are kept per batch shape and reused by every call, so one
     evaluator must not be shared between threads.
     """
 
@@ -138,23 +138,29 @@ class LossEvaluator:
             raise ValueError(f"joint vector has shape {q.shape}, expected {self._q0.shape}")
         return float(self.evaluate_many(q[None, :])[0])
 
-    def _buffers(self, m: int) -> tuple:
+    def _buffers(self, shape: tuple) -> tuple:
         # ang (m, n); w (3, m, n) = [dq, cos, sin]; r (4, m) = [jjmc, x, y,
         # theta], where x, y, theta become the pose error in place and r[1]
         # then holds jee; terms (3, m) for the weighted squared errors.
+        # Buffers are cached by batch shape, so a batch of another shape
+        # always lands here and the cached path needs no check.
         n = self._q0.size
+        if len(shape) != 2 or shape[1] != n:
+            raise ValueError(f"configs have shape {shape}, expected (m, {n})")
+        m = shape[0]
         ang, w = np.empty((m, n)), np.empty((3, m, n))
         r, terms = np.empty((4, m)), np.empty((3, m))
         if len(self._work) >= 8:  # the engine uses a few row counts per run
             self._work.clear()
-        self._work[m] = work = (
+        self._work[shape] = work = (
             ang, w[0], w[self._sum_from :], r[self._sum_from : 3],
             r[0], r[1], r[3], r[1:], r[:2], terms,
         )
         return work
 
     def evaluate_many(self, configs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Loss for each row of ``configs`` (shape (m, n)); counts m calls.
+        """Loss for each row of ``configs`` (shape (m, n), else ``ValueError``);
+        counts m calls.
 
         Every row goes through the same arithmetic whatever ``m`` is: the
         pose comes from :func:`~nlspsa_ik.kinematics.pose_rows`, whose
@@ -162,9 +168,9 @@ class LossEvaluator:
         matrix-vector product's do). The result is written to ``out`` when
         given, else to a new array.
         """
-        m = configs.shape[0]
-        self.calls += m
-        work = self._work.get(m) or self._buffers(m)
+        shape = configs.shape
+        work = self._work.get(shape) or self._buffers(shape)
+        self.calls += shape[0]
         ang, dq, stacked, sums, jjmc, jee, theta, err, blend, terms = work
         # Ufuncs are called directly, outputs passed by position: cumsum,
         # sum and the in-place operators are slower routes to the same loops.

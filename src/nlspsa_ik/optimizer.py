@@ -32,9 +32,9 @@ VARIANTS = ("nlspsa", "spsa")
 _BLOCK_VALUES = 1 << 16
 _BLOCK_MIN = 128
 _BLOCK_MAX = 512
-# Iterations per slice of a block. Each slice's traced iterates are evaluated
-# in one call and the settle pass scans the history by slices, so their work
-# buffers stay a fraction of the history buffer.
+# Iterations per slice of a block. The settle pass walks a block by slices,
+# evaluating each slice's traced iterates in one call and scanning its
+# history, so its work buffers stay a fraction of the history buffer.
 _SCAN_ROWS = 64
 # The faults that can end a seed's run at iteration k, in the order the
 # checks apply there. A block's events are ranked by 3*k + kind.
@@ -198,13 +198,13 @@ def solve_many(
     apportioned evenly across the batch.
 
     Each iteration only measures the two losses, in one loss call on every
-    seed's stacked plus and minus configurations, takes the step, and stores
-    the losses and the new iterate in per-block buffers. The traced iterates
-    of each slice of ``_SCAN_ROWS`` iterations are evaluated in one call.
-    Finiteness checks and the step bound are settled once per block from
-    those buffers, with the same outcome, down to the fault iteration, as
-    checking after every iteration. Every seed that does not fault runs all
-    ``n_max`` iterations, and its trace values are all finite.
+    seed's stacked plus and minus configurations, and takes the step, storing
+    the losses and the new iterate in per-block buffers. One pass per block
+    then walks those buffers by slices of ``_SCAN_ROWS`` iterations: it
+    evaluates each slice's traced iterates in one call, checks finiteness
+    and bounds the step, with the same outcome, down to the fault iteration,
+    as checking after every iteration. Every seed that does not fault runs
+    all ``n_max`` iterations, and its trace values are all finite.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -257,18 +257,24 @@ def solve_many(
             return np.full(n_seeds, _NO_EVENT)
         return np.where(bad.any(axis=0), at[bad.argmax(axis=0)] * 3 + kind, _NO_EVENT)
 
-    def settle_block(block_start: int, block_len: int, slots: slice) -> None:
-        """Checks and bookkeeping for iterations block_start+1 .. block_start
-        + block_len, whose trace points are ``slots`` (slot 0, the initial
-        point, is settled with the first block)."""
+    def settle_block(block_start: int, block_len: int, slot: int) -> int:
+        """Trace points, checks and bookkeeping for iterations block_start+1
+        .. block_start + block_len, whose trace points start at ``slot``
+        (slot 0, the initial point, has its own call and is settled with the
+        first block). Returns the first trace point of the next block."""
         history = hist[: block_len + 1]
         at_k = np.arange(block_start + 1, block_start + block_len + 1)
-        values = traces[slots]
-        value_ks = trace_ks[slots]
+        traced = max(slot, 1)  # the first trace point not yet evaluated
         iterate_bad = np.empty((block_len, n_seeds), dtype=bool)
         steps = np.empty((block_len, n_seeds))
         for lo in range(0, block_len, _SCAN_ROWS):
             hi = min(lo + _SCAN_ROWS, block_len)
+            # the slice's trace points, in one call
+            upto = np.searchsorted(trace_ks, block_start + hi, "right")
+            if upto > traced:
+                rows = hist[trace_ks[traced:upto] - block_start]
+                evaluate(rows.reshape(-1, n), out=traces[traced:upto].reshape(-1))
+                traced = upto
             finite = np.isfinite(history[lo + 1 : hi + 1], out=finite_buf[: hi - lo])
             np.logical_not(finite.all(axis=2), out=iterate_bad[lo:hi])
             step = np.subtract(
@@ -282,6 +288,7 @@ def solve_many(
             first_event(measured_bad, at_k, _LOSS),
             first_event(iterate_bad, at_k, _ITERATE),
         )
+        values, value_ks = traces[slot:traced], trace_ks[slot:traced]
         np.minimum(events, first_event(~np.isfinite(values), value_ks, _TRACE_LOSS), out=events)
         events[~active] = _NO_EVENT
         event_k, kind = np.divmod(events, 3)
@@ -296,11 +303,11 @@ def solve_many(
                 f"non-finite {what} at iteration {event_k[s]} (seed {seeds[s]})",
                 iteration=int(event_k[s]),
             )
+        return traced
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         evaluate(hist[0], out=traces[0])
         slot = 0  # the first trace point not yet settled
-        traced = 1  # the first trace point not yet evaluated
         for block_start in range(0, n_iter, block):
             if not active.any():
                 break
@@ -316,34 +323,25 @@ def solve_many(
             a_block = (params.a / (params.A + ks) ** params.alpha).tolist()
             c_block = (params.c / ks**params.gamma).tolist()
 
-            for lo in range(0, block_len, _SCAN_ROWS):
-                hi = min(lo + _SCAN_ROWS, block_len)
-                for j in range(lo, hi):
-                    c_k = c_block[j]
-                    phi = hist_rows[j]
-                    new_phi = hist_rows[j + 1]  # holds this iteration's delta
-                    perturbation = c_k * new_phi
-                    np.add(phi, perturbation, out=plus_configs)
-                    np.subtract(phi, perturbation, out=minus_configs)
-                    evaluate(configs, out=measured_rows[j])
-                    # delta is +-1, so a_k * spsa_gradient(...) is +-factor
-                    # in every component, and saturating the factor
-                    # saturates each component of the update.
-                    factor = a_block[j] * _estimate(plus_rows[j], minus_rows[j], c_k)
-                    if d is not None:
-                        factor = saturate(factor, d)
-                    np.subtract(phi, factor[:, None] * new_phi, out=new_phi)
-                    if limits is not None:
-                        np.clip(new_phi, q_lo, q_hi, out=new_phi)
-                # the slice's trace points, in one call
-                upto = np.searchsorted(trace_ks, block_start + hi, "right")
-                if upto > traced:
-                    rows = hist[trace_ks[traced:upto] - block_start]
-                    evaluate(rows.reshape(-1, n), out=traces[traced:upto].reshape(-1))
-                    traced = upto
+            for j in range(block_len):
+                c_k = c_block[j]
+                phi = hist_rows[j]
+                new_phi = hist_rows[j + 1]  # holds this iteration's delta
+                perturbation = c_k * new_phi
+                np.add(phi, perturbation, out=plus_configs)
+                np.subtract(phi, perturbation, out=minus_configs)
+                evaluate(configs, out=measured_rows[j])
+                # delta is +-1, so a_k * spsa_gradient(...) is +-factor in
+                # every component, and saturating the factor saturates each
+                # component of the update.
+                factor = a_block[j] * _estimate(plus_rows[j], minus_rows[j], c_k)
+                if d is not None:
+                    factor = saturate(factor, d)
+                np.subtract(phi, factor[:, None] * new_phi, out=new_phi)
+                if limits is not None:
+                    np.clip(new_phi, q_lo, q_hi, out=new_phi)
 
-            settle_block(block_start, block_len, slice(slot, traced))
-            slot = traced
+            slot = settle_block(block_start, block_len, slot)
             hist[0] = hist[block_len]
 
     elapsed = (time.perf_counter() - started) / n_seeds

@@ -456,6 +456,42 @@ class TestCompareCommand:
         cols = read_compare_csv(tmp_path / "compare_1.1.csv")
         assert np.isnan(cols["pso_losses"]).all()
 
+    def test_one_faulted_seed_per_solver(self, tmp_path, capsys, monkeypatch):
+        # NLSPSA faults on seed 1 and PSO on seed 1: only those slots are
+        # missing, and each median is its solver's one finished loss.
+        solve_many, pso_solve = cli.solve_many, cli.pso_solve
+        pso_seeds = []
+
+        def half_faulting_solve_many(spec, chain, params, seeds):
+            assert seeds == [0, 1]
+            record = solve_many(spec, chain, params, [0])[0]
+            return [record, SolverFault("non-finite loss at iteration 3", iteration=3)]
+
+        def half_faulting_pso_solve(spec, chain, params, seed):
+            pso_seeds.append(seed)
+            if seed == 1:
+                raise SolverFault("non-finite loss at generation 2")
+            return pso_solve(spec, chain, params, seed)
+
+        monkeypatch.setattr(cli, "solve_many", half_faulting_solve_many)
+        monkeypatch.setattr(cli, "pso_solve", half_faulting_pso_solve)
+        code = run_cli(
+            "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "100",
+            "--population", "30", "--out", tmp_path,
+        )
+        assert code == 0
+        assert pso_seeds == [0, 1]
+        cols = read_compare_csv(tmp_path / "compare_1.1.csv")
+        nl_loss, pso_loss = cols["nlspsa_losses"][0], cols["pso_losses"][0]
+        assert np.isfinite([nl_loss, pso_loss]).all()
+        assert np.isnan(cols["nlspsa_losses"][1]) and np.isnan(cols["pso_losses"][1])
+        doc = json.loads((tmp_path / "compare_1.1.json").read_text())
+        assert doc["nlspsa_losses"] == [nl_loss, None]
+        assert doc["pso_losses"] == [pso_loss, None]
+        assert (doc["nlspsa_median"], doc["pso_median"]) == (nl_loss, pso_loss)
+        assert doc["winner"] == ("nlspsa" if nl_loss < pso_loss else "pso")
+        assert f"{doc['winner']} wins" in capsys.readouterr().out
+
     def test_budget_is_twice_n_max(self, tmp_path, monkeypatch):
         # An odd n-max too: both solvers get the same even budget.
         calls = []

@@ -277,6 +277,18 @@ class TestLossEvaluator:
         with pytest.raises(ValueError, match=r"expected \(8,\)"):
             LossEvaluator(bent_eight_spec(), CHAIN8)(q)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 9), (8,), (2, 3, 8)])
+    def test_evaluate_many_rejects_a_batch_of_another_shape(self, shape):
+        # (3, 1) broadcasts against the 8-joint reference and would fill
+        # only one column of the angle buffer, so only the shape check stops
+        # it, also after a (3, 8) batch has cached its work buffers.
+        scenario = builtin("1.1")
+        evaluator = LossEvaluator(scenario.spec, scenario.chain)
+        evaluator.evaluate_many(np.zeros((3, 8)))
+        with pytest.raises(ValueError, match=r"expected \(m, 8\)"):
+            evaluator.evaluate_many(np.zeros(shape))
+        assert evaluator.calls == 3
+
 
 def frozen_evaluate_many(spec, chain, configs):
     """The batched loss expression before its work buffers were stacked and
