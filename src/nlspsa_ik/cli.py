@@ -121,14 +121,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` or a container can narrow it), else all CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_outcomes(spec, chain, params, seeds, jobs: int) -> list:
     """``solve_many`` over ``seeds``, split among ``jobs`` worker processes
-    but no more than the CPUs or the seeds to share. The process pool and
-    multiprocessing, which it imports, cost start-up time and memory, so
+    but no more than the usable CPUs or the seeds to share. The process pool
+    and multiprocessing, which it imports, cost start-up time and memory, so
     they load only when more than one worker runs."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1, len(seeds))
+    jobs = min(jobs, _usable_cpus(), len(seeds))
     if jobs <= 1:
         return solve_many(spec, chain, params, seeds)
     from concurrent.futures import ProcessPoolExecutor

@@ -12,9 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 DEG2RAD = math.pi / 180.0
-# A numpy scalar keeps the degree-to-radian multiply in pose_rows on the
-# fast path.
-_DEG2RAD = np.float64(DEG2RAD)
+
+
+def _constant(value: float) -> np.ndarray:
+    a = np.array(value)
+    a.setflags(write=False)
+    return a
+
+
+# pose_rows's scalar operands are read-only 0-d arrays: a ufunc converts a
+# Python or numpy scalar on every call, and skips that for a 0-d array.
+_DEG2RAD = _constant(DEG2RAD)
+_TURN_DEG = _constant(360.0)
 
 
 def mod_floor(alpha: float, beta: float) -> float:
@@ -128,8 +137,8 @@ def pose_rows(configs, weights, ang, trig, sums, theta) -> None:
     np.add.reduce(configs, 1, None, theta)
     # mod_floor's two remainders: a tiny negative total has remainder 360.0
     # after rounding, and the second maps it to 0.
-    np.remainder(theta, 360.0, theta)
-    np.remainder(theta, 360.0, theta)
+    np.remainder(theta, _TURN_DEG, theta)
+    np.remainder(theta, _TURN_DEG, theta)
 
 
 def forward_kinematics(chain: ChainModel, q) -> Pose:
@@ -162,10 +171,11 @@ def joint_positions(chain: ChainModel, q) -> np.ndarray:
 def pose_errors(target: np.ndarray, poses: np.ndarray, out=None) -> np.ndarray:
     """Raw error of pose columns against a target column: ``target - poses``.
 
-    ``target`` is the (3, 1) column [x*, y*, theta*] and ``poses`` has rows
-    x, y and theta. The orientation row is an unwrapped difference of degree
-    values in [0, 360); the ~360 deg discontinuity near the 0/360 boundary
-    is a known hazard of this convention.
+    ``target`` is the (3, 1) column [x*, y*, theta*], or that column tiled to
+    the shape of ``poses``, which has rows x, y and theta. The orientation
+    row is an unwrapped difference of degree values in [0, 360); the ~360
+    deg discontinuity near the 0/360 boundary is a known hazard of this
+    convention.
     """
     return np.subtract(target, poses, out)
 

@@ -101,8 +101,9 @@ class LossEvaluator:
     ``frozen_evaluate_many`` in ``tests/test_objective.py`` is the
     bit-identity oracle.
 
-    Work buffers are kept per batch shape and reused by every call, so one
-    evaluator must not be shared between threads.
+    Work buffers, and read-only tiles of the per-row constants, are kept
+    per batch shape and reused by every call, so one evaluator must not be
+    shared between threads.
     """
 
     spec: ObjectiveSpec
@@ -117,20 +118,24 @@ class LossEvaluator:
             )
         lengths = np.asarray(chain.link_lengths)
         self._q0 = np.asarray(spec.reference)
-        target = spec.target
-        self._target = np.array([[target.x], [target.y], [target.theta_deg]])
-        self._weights = np.array([[spec.w_jmc_norm], [spec.w_ee_norm]])
         r, qm = spec.r_ee, spec.q_jmc
-        self._r_col = np.diag(r)[:, None].copy() if _is_diagonal(r) else None
-        self._r_full = None if self._r_col is not None else r
+        self._r_full = None if _is_diagonal(r) else r
         self._q_full = None if _is_diagonal(qm) else qm
+        # Per-row constants, one column: the target [x*, y*, theta*], the
+        # r_ee diagonal when r_ee is diagonal, and the blend weights.
+        t = spec.target
+        self._row_consts = np.concatenate([
+            [t.x, t.y, t.theta_deg],
+            np.diag(r) if self._r_full is None else [],
+            [spec.w_jmc_norm, spec.w_ee_norm],
+        ])[:, None]
         # Row sums taken by the one vecdot: [dq^2 . q_diag, cos . L, sin . L],
         # or only the last two when q_jmc is a full matrix.
         self._sum_from = 0 if self._q_full is None else 1
         self._sum_weights = np.stack([np.diag(qm), lengths, lengths])[
             self._sum_from :, None, :
         ]
-        self._work: dict[int, tuple] = {}
+        self._work: dict[tuple, tuple] = {}
 
     def __call__(self, q) -> float:
         q = np.asarray(q, dtype=float)
@@ -142,19 +147,26 @@ class LossEvaluator:
         # ang (m, n); w (3, m, n) = [dq, cos, sin]; r (4, m) = [jjmc, x, y,
         # theta], where x, y, theta become the pose error in place and r[1]
         # then holds jee; terms (3, m) for the weighted squared errors.
-        # Buffers are cached by batch shape, so a batch of another shape
-        # always lands here and the cached path needs no check.
+        # Read-only tiles of the reference (m, n) and of the per-row
+        # constants, target (3, m), r_ee diagonal (3, m) and blend weights
+        # (2, m), give every elementwise ufunc operands of its output's
+        # shape, which numpy does not broadcast. Buffers are cached by batch
+        # shape, so a batch of another shape always lands here and the
+        # cached path needs no check.
         n = self._q0.size
         if len(shape) != 2 or shape[1] != n:
             raise ValueError(f"configs have shape {shape}, expected (m, {n})")
         m = shape[0]
         ang, w = np.empty((m, n)), np.empty((3, m, n))
         r, terms = np.empty((4, m)), np.empty((3, m))
+        consts = _tile(self._row_consts, (self._row_consts.shape[0], m))
         if len(self._work) >= 8:  # the engine uses a few row counts per run
             self._work.clear()
         self._work[shape] = work = (
             ang, w[0], w[self._sum_from :], r[self._sum_from : 3],
             r[0], r[1], r[3], r[1:], r[:2], terms,
+            _tile(self._q0, shape), consts[:3],
+            None if self._r_full is not None else consts[3:6], consts[-2:],
         )
         return work
 
@@ -171,10 +183,11 @@ class LossEvaluator:
         shape = configs.shape
         work = self._work.get(shape) or self._buffers(shape)
         self.calls += shape[0]
-        ang, dq, stacked, sums, jjmc, jee, theta, err, blend, terms = work
+        (ang, dq, stacked, sums, jjmc, jee, theta, err, blend, terms,
+         q0, target, r_diag, weights) = work
         # Ufuncs are called directly, outputs passed by position: cumsum,
         # sum and the in-place operators are slower routes to the same loops.
-        np.subtract(configs, self._q0, dq)
+        np.subtract(configs, q0, dq)
         if self._q_full is None:
             # dq^2 shares the pose's vecdot call, which sums it against the
             # q_jmc diagonal.
@@ -182,16 +195,25 @@ class LossEvaluator:
         else:
             np.einsum("ij,jk,ik->i", dq, self._q_full, dq, out=jjmc)
         pose_rows(configs, self._sum_weights, ang, stacked, sums, theta)
-        pose_errors(self._target, err, err)
-        if self._r_col is not None:
-            np.multiply(self._r_col, err, terms)
+        pose_errors(target, err, err)
+        if r_diag is not None:
+            np.multiply(r_diag, err, terms)
             np.multiply(terms, err, terms)
             np.add.reduce(terms, 0, None, jee)
         else:
             eps = err.T.copy()
             np.einsum("ij,jk,ik->i", eps, self._r_full, eps, out=jee)
-        np.multiply(blend, self._weights, blend)
-        return np.add.reduce(blend, 0, None, out)
+        np.multiply(blend, weights, blend)
+        # blend is the rows jjmc and jee: their sum is add.reduce over the
+        # pair without the reduction's set-up.
+        return np.add(jjmc, jee, out)
+
+
+def _tile(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """A read-only copy of ``a`` broadcast to ``shape``."""
+    tile = np.broadcast_to(a, shape).copy()
+    tile.setflags(write=False)
+    return tile
 
 
 def _is_diagonal(m: np.ndarray) -> bool:

@@ -89,9 +89,9 @@ class RunRecord:
     ``trace_iterations[i]`` updates, starting from 0 (the initial value) and
     always ending at the final iterate; ``initial_loss``, ``final_loss`` and
     ``best_loss`` are its first, last and lowest value (``best_loss`` is
-    diagnostic only). From ``solve_many``, both are
-    read-only views into arrays that the records of one batch share; copy
-    them before writing. ``elapsed`` is the wall time, in seconds, of the
+    diagnostic only). From ``solve_many``, ``loss_trace`` and
+    ``trace_iterations`` are read-only views into arrays that the records of
+    one batch share; copy them before writing. ``elapsed`` is the wall time, in seconds, of the
     batch the seed ran in divided by the seeds in that batch; a single-seed
     solve reports its own wall time.
     """

@@ -57,6 +57,15 @@ def inline_pool(monkeypatch):
     return sizes
 
 
+def set_cpus(monkeypatch, usable, total=None):
+    """Make this process see ``total`` CPUs (default ``usable``), of which
+    its affinity mask allows ``usable``."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: total or usable)
+    monkeypatch.setattr(
+        cli.os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False
+    )
+
+
 class TestRunCommand:
     def test_writes_artifacts_and_summary(self, tmp_path, capsys):
         code = run_cli(
@@ -295,8 +304,8 @@ class TestSweepCommand:
             assert cli._sweep_outcomes(None, None, None, seeds, jobs) == seeds
             return inline_pool[0] if inline_pool else 1
 
-        assert workers(10**6, 10**6) == (os.cpu_count() or 1)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert workers(10**6, 10**6) == cli._usable_cpus()
+        set_cpus(monkeypatch, 4)
         assert workers(64, 20) == 4
         assert workers(8, 3) == 3
         assert workers(1, 20) == 1
@@ -304,6 +313,17 @@ class TestSweepCommand:
         for jobs in (0, -3):
             with pytest.raises(ValueError):
                 workers(jobs, 20)
+        # Under taskset -c 0 a 4-CPU host leaves one usable CPU: no pool.
+        set_cpus(monkeypatch, 1, total=4)
+        assert workers(64, 20) == 1
+        assert inline_pool == []
+
+    def test_usable_cpus_without_an_affinity_mask_counts_all_cpus(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli._usable_cpus() == 4
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path):
         code = run_cli(
@@ -313,7 +333,7 @@ class TestSweepCommand:
         assert code == 2
 
     def test_pool_never_exceeds_the_clamp(self, tmp_path, monkeypatch, inline_pool):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2, total=8)
         code = run_cli(
             "sweep", "--scenario", "1.1", "--seeds", "3", "--n-max", "20",
             "--jobs", "1000", "--out", tmp_path,
@@ -325,7 +345,7 @@ class TestSweepCommand:
     def test_two_process_sweep_matches_one_process(self, tmp_path, monkeypatch):
         # A real pool of two workers: each worker's seeds give the same
         # results as in the one-process batch.
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         per_seed = {}
         for jobs in (2, 1):
             out = tmp_path / f"jobs{jobs}"
@@ -348,7 +368,7 @@ class TestSweepCommand:
     def test_two_process_sweep_keeps_each_fault(self, tmp_path, monkeypatch):
         # Faults cross the process pool as pickles, and come back as the
         # one-process sweep reports them.
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         faults = {}
         for jobs in (2, 1):
             out = tmp_path / f"jobs{jobs}"

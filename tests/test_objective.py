@@ -445,10 +445,15 @@ class TestLossEvaluatorBuffers:
 class _CountingNumpy:
     """Stands in for the ``np`` module of nlspsa_ik.objective and
     nlspsa_ik.kinematics, whose ``pose_rows`` computes the loss's pose, and
-    counts every ufunc, ufunc method and einsum call made through it."""
+    records every ufunc, ufunc method and einsum call made through it as
+    (function, method name or None, positional arguments, result)."""
 
     def __init__(self):
-        self.calls = 0
+        self.records = []
+
+    @property
+    def calls(self) -> int:
+        return len(self.records)
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -465,15 +470,17 @@ def _counting_numpy(monkeypatch) -> _CountingNumpy:
 
 
 class _Counted:
-    def __init__(self, counter, fn):
-        self._counter, self._fn = counter, fn
+    def __init__(self, counter, fn, method=None):
+        self._counter, self._fn, self._method = counter, fn, method
 
     def __call__(self, *args, **kwargs):
-        self._counter.calls += 1
-        return self._fn(*args, **kwargs)
+        fn = self._fn if self._method is None else getattr(self._fn, self._method)
+        result = fn(*args, **kwargs)
+        self._counter.records.append((self._fn, self._method, args, result))
+        return result
 
     def __getattr__(self, name):  # ufunc methods: reduce, accumulate
-        return _Counted(self._counter, getattr(self._fn, name))
+        return _Counted(self._counter, self._fn, name)
 
 
 @pytest.mark.parametrize("m", [1, 20])
@@ -497,3 +504,69 @@ def test_one_row_full_r_ee_keeps_the_array_path(monkeypatch, case):
     counting = _counting_numpy(monkeypatch)
     assert np.array_equal(evaluator.evaluate_many(row), expected)
     assert 0 < counting.calls <= 16
+
+
+ORACLE_CASE_BY_NAME = {name: (spec, chain) for name, spec, chain in ORACLE_CASES}
+SAME_SHAPE_CASES = [("1.1", m) for m in (1, 2, 64)] + [
+    (name, 2) for name in _full_matrix_cases()
+]
+
+
+@pytest.mark.parametrize("case,m", SAME_SHAPE_CASES)
+def test_elementwise_ufuncs_take_same_shape_or_0d_operands(monkeypatch, case, m):
+    # A broadcast operand, or a Python or numpy scalar, costs numpy set-up
+    # on every call; the per-shape tiles and 0-d constants avoid both.
+    spec, chain = ORACLE_CASE_BY_NAME[case]
+    evaluator = LossEvaluator(spec, chain)
+    configs = spec.reference + np.random.default_rng(m).uniform(-45, 45, (m, spec.n))
+    evaluator.evaluate_many(configs)
+    counting = _counting_numpy(monkeypatch)
+    got = evaluator.evaluate_many(configs)
+    assert np.array_equal(got, frozen_evaluate_many(spec, chain, configs))
+    elementwise = [
+        (fn, args[: fn.nin], result) for fn, method, args, result in counting.records
+        if method is None and isinstance(fn, np.ufunc) and fn.signature is None
+    ]
+    assert elementwise
+    for fn, operands, result in elementwise:
+        for operand in operands:
+            assert isinstance(operand, np.ndarray), (fn.__name__, type(operand))
+            assert operand.ndim == 0 or operand.shape == result.shape, (
+                fn.__name__, operand.shape, result.shape,
+            )
+
+
+@pytest.mark.parametrize("case", ["1.1", "full r_ee"])
+def test_interleaved_shapes_match_the_frozen_expression(case):
+    # 2 -> 64 -> 2 -> 1 rows reuse cached tiles; nine more shapes evict the
+    # cache, after which 2, 64 and 1 rows build their tiles again.
+    spec, chain = ORACLE_CASE_BY_NAME[case]
+    evaluator = LossEvaluator(spec, chain)
+    rng = np.random.default_rng(15)
+    for m in (2, 64, 2, 1, *range(3, 12), 2, 64, 1):
+        configs = spec.reference + rng.uniform(-180, 180, (m, spec.n))
+        got = evaluator.evaluate_many(configs)
+        assert np.array_equal(got, frozen_evaluate_many(spec, chain, configs)), m
+        assert len(evaluator._work) <= 8
+
+
+def test_cached_tiles_and_kinematics_constants_are_read_only():
+    scenario = builtin("1.1")
+    spec = scenario.spec
+    evaluator = LossEvaluator(spec, scenario.chain)
+    evaluator.evaluate_many(np.zeros((3, 8)))
+    *_, q0, target, r_diag, weights = evaluator._work[(3, 8)]
+    t = spec.target
+    for tile, column in [
+        (q0.T, spec.reference[:, None]),
+        (target, [[t.x], [t.y], [t.theta_deg]]),
+        (r_diag, np.diag(spec.r_ee)[:, None]),
+        (weights, [[spec.w_jmc_norm], [spec.w_ee_norm]]),
+    ]:
+        assert not tile.flags.writeable
+        assert np.array_equal(tile, np.tile(column, (1, 3)))
+    for constant, value in [
+        (kinematics._DEG2RAD, math.pi / 180), (kinematics._TURN_DEG, 360.0),
+    ]:
+        assert constant.ndim == 0 and not constant.flags.writeable
+        assert constant == value
