@@ -16,23 +16,9 @@ from .errors import (
     ScenarioLookupError,
     SolverFault,
 )
-from .kinematics import (
-    ChainModel,
-    Pose,
-    forward_kinematics,
-    joint_positions,
-    mod_floor,
-    pose_error,
-)
+from .kinematics import ChainModel, Pose, forward_kinematics, joint_positions, pose_error
 from .objective import LossEvaluator, ObjectiveSpec, default_r_ee
-from .optimizer import (
-    RunRecord,
-    SolverParams,
-    saturate,
-    solve,
-    solve_many,
-    spsa_gradient,
-)
+from .optimizer import RunRecord, SolverParams, saturate, solve, solve_many
 from .scenarios import Scenario, builtin, builtin_ids, load_scenario, save_scenario
 
 __version__ = "0.1.0"
@@ -57,12 +43,10 @@ __all__ = [
     "forward_kinematics",
     "joint_positions",
     "load_scenario",
-    "mod_floor",
     "pose_error",
     "pso_solve",
     "saturate",
     "save_scenario",
     "solve",
     "solve_many",
-    "spsa_gradient",
 ]

@@ -1,5 +1,5 @@
 """Run, sweep, and comparison artifacts and scenario files: the one JSON
-reader and writer, the chain codec, and the CSV readers/writers.
+reader and writer, the chain codec, the CSV writers and the trace reader.
 
 Floats are serialized with ``repr`` (shortest round-trip form), so re-parsing
 any file reproduces the in-memory values exactly and repeated writes of the
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import platform
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -234,20 +235,6 @@ def write_sweep_csv(path, report: SweepReport) -> None:
     )
 
 
-def read_sweep_csv(path) -> dict:
-    """Columns of a sweep CSV as arrays: seeds, final_losses, pos_errors,
-    theta_errors, wall_ms, displacements."""
-    _, seeds, cells = _read_csv(path, sweep_csv_header(0))
-    return {
-        "seeds": seeds,
-        "final_losses": cells[:, 0],
-        "pos_errors": cells[:, 1],
-        "theta_errors": cells[:, 2],
-        "wall_ms": cells[:, 3],
-        "displacements": cells[:, 4:],
-    }
-
-
 def write_compare_csv(path, seeds, nlspsa_losses, pso_losses) -> None:
     _write_csv(
         path,
@@ -258,11 +245,6 @@ def write_compare_csv(path, seeds, nlspsa_losses, pso_losses) -> None:
             np.asarray(pso_losses, dtype=float),
         ],
     )
-
-
-def read_compare_csv(path) -> dict:
-    _, seeds, cells = _read_csv(path, ["seed", "nlspsa_loss", "pso_loss"])
-    return {"seeds": seeds, "nlspsa_losses": cells[:, 0], "pso_losses": cells[:, 1]}
 
 
 def _pose_doc(pose: Pose) -> dict:
@@ -298,7 +280,8 @@ def run_result_doc(
     trace_csv: str,
 ) -> dict:
     """Self-contained description of one run, enough to re-plot and to
-    re-run it: chain, objective, solver settings and the versions used."""
+    re-run it: chain, objective, solver settings, and the package, numpy and
+    Python versions and the machine type it ran with."""
     from . import __version__
 
     params_doc = asdict(params)
@@ -325,7 +308,12 @@ def run_result_doc(
         "elapsed_s": record.elapsed,
         "params": {**params_doc, "w_jmc": spec.w_jmc, "w_ee": spec.w_ee},
         "trace_csv": trace_csv,
-        "versions": {"nlspsa_ik": __version__, "numpy": np.__version__},
+        "versions": {
+            "nlspsa_ik": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        },
     }
 
 

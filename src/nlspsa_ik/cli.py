@@ -189,10 +189,11 @@ def cmd_compare(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
     budget = 2 * params.n_max
-    nl_outcomes = solve_many(spec, scenario.chain, params, seeds)
+    # built first, so that bad PSO settings fail before any seed is solved
     pso_params = PsoParams(
         population=args.population, eval_budget=budget, init_spread=args.init_spread
     )
+    nl_outcomes = solve_many(spec, scenario.chain, params, seeds)
     pso_outcomes: list = []
     for seed in seeds:
         try:

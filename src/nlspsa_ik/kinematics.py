@@ -26,21 +26,6 @@ _DEG2RAD = _constant(DEG2RAD)
 _TURN_DEG = _constant(360.0)
 
 
-def mod_floor(alpha: float, beta: float) -> float:
-    """Floored modulo ``alpha - beta*floor(alpha/beta)``, result in [0, beta).
-
-    Python's float ``%`` twice, as the loss wraps theta. The first is the
-    exact ``math.fmod`` plus ``beta`` for a negative remainder, which can
-    round a tiny negative ``alpha`` up to exactly ``beta``; the second maps
-    that to 0. No result is ``-0.0``.
-    """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return alpha % beta % beta
-
-
 @dataclass(frozen=True)
 class Pose:
     """Planar end-effector pose: position and orientation theta in [0, 360)."""
@@ -135,8 +120,8 @@ def pose_rows(configs, weights, ang, trig, sums, theta) -> None:
     np.sin(ang, trig[-1])
     np.vecdot(trig, weights, sums)
     np.add.reduce(configs, 1, None, theta)
-    # mod_floor's two remainders: a tiny negative total has remainder 360.0
-    # after rounding, and the second maps it to 0.
+    # Two remainders: the first rounds a tiny negative total up to exactly
+    # 360.0, and the second maps that to 0.
     np.remainder(theta, _TURN_DEG, theta)
     np.remainder(theta, _TURN_DEG, theta)
 

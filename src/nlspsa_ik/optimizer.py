@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,36 +123,6 @@ class RunRecord:
 def _estimate(plus, minus, c_k):
     """The two-measurement difference quotient (J+ - J-) / (2*c_k)."""
     return (plus - minus) / (2.0 * c_k)
-
-
-def spsa_gradient(
-    loss: Callable[[np.ndarray], float],
-    phi: np.ndarray,
-    c_k: float,
-    delta: np.ndarray,
-) -> np.ndarray:
-    """Simultaneous-perturbation gradient estimate at ``phi``.
-
-    Uses exactly two loss measurements, independent of dimension:
-    g_i = [loss(phi + c_k*delta) - loss(phi - c_k*delta)] / (2*c_k*delta_i).
-    The division is a true componentwise reciprocal of ``delta``, so
-    non-Bernoulli perturbation distributions remain possible.
-    """
-    phi = np.asarray(phi, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if c_k <= 0:
-        raise ValueError(f"c_k must be positive, got {c_k}")
-    if delta.shape != phi.shape:
-        raise ValueError(f"delta shape {delta.shape} != phi shape {phi.shape}")
-    if np.any(delta == 0):
-        raise ValueError("perturbation components must be nonzero")
-    loss_plus = float(loss(phi + c_k * delta))
-    loss_minus = float(loss(phi - c_k * delta))
-    if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-        raise SolverFault(
-            f"non-finite loss measurement: J+={loss_plus}, J-={loss_minus}"
-        )
-    return _estimate(loss_plus, loss_minus, c_k) / delta
 
 
 def saturate(x: np.ndarray, d: float) -> np.ndarray:
@@ -331,9 +301,9 @@ def solve_many(
                 np.add(phi, perturbation, out=plus_configs)
                 np.subtract(phi, perturbation, out=minus_configs)
                 evaluate(configs, out=measured_rows[j])
-                # delta is +-1, so a_k * spsa_gradient(...) is +-factor in
-                # every component, and saturating the factor saturates each
-                # component of the update.
+                # delta is +-1, so a_k times the gradient estimate (J+ - J-) /
+                # (2 c_k delta) is +-factor in every component, and saturating
+                # the factor saturates each component of the update.
                 factor = a_block[j] * _estimate(plus_rows[j], minus_rows[j], c_k)
                 if d is not None:
                     factor = saturate(factor, d)

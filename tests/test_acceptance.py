@@ -9,16 +9,13 @@ import itertools
 import numpy as np
 import pytest
 
+from nlspsa_ik import optimizer
 from nlspsa_ik.baseline import PsoParams, pso_solve
-from nlspsa_ik.kinematics import ChainModel, forward_kinematics, mod_floor
+from nlspsa_ik.kinematics import ChainModel, forward_kinematics
 from nlspsa_ik.objective import LossEvaluator
-from nlspsa_ik.optimizer import (
-    SolverParams,
-    saturate,
-    solve_many,
-    spsa_gradient,
-)
+from nlspsa_ik.optimizer import SolverParams, saturate, solve_many
 from nlspsa_ik.scenarios import builtin, builtin_ids
+from oracle import mod_floor, spsa_gradient
 
 N_SEEDS = 20
 SEEDS = tuple(range(N_SEEDS))
@@ -167,7 +164,7 @@ def test_criterion_6_beats_pso_budget_matched(sweeps):
     )
 
 
-def test_criterion_7_estimator_properties(sweeps):
+def test_criterion_7_estimator_properties(sweeps, monkeypatch):
     # (a) averaging over all 2^n perturbation patterns recovers the exact
     # gradient of a quadratic
     worst = 0.0
@@ -197,8 +194,22 @@ def test_criterion_7_estimator_properties(sweeps):
         return float(q @ q)
 
     spsa_gradient(counting_loss, np.ones(7), 0.1, np.ones(7))
-    two_per_iteration = calls == 2 and all(
-        r.evaluations == 2 * r.iterations for recs in sweeps.values() for r in recs
+    # ... and the rows that one solve_many batch measures, as the evaluator
+    # it builds counts them: two per iteration and seed, one per trace point
+    # and seed
+    built = []
+    monkeypatch.setattr(
+        optimizer, "LossEvaluator", lambda *args: built.append(LossEvaluator(*args)) or built[-1]
+    )
+    n_max, trace_every = 1100, 7  # trace_every does not divide n_max
+    s = builtin("1.1")
+    solve_many(s.spec, s.chain, SolverParams(n_max=n_max, trace_every=trace_every), SEEDS)
+    trace_rows = N_SEEDS * (len(range(0, n_max + 1, trace_every)) + 1)
+    engine_rows = sum(evaluator.calls for evaluator in built)
+    two_per_iteration = (
+        calls == 2
+        and engine_rows == 2 * n_max * N_SEEDS + trace_rows
+        and all(r.evaluations == 2 * r.iterations for recs in sweeps.values() for r in recs)
     )
 
     # (c) saturated update bound holds for every step of every sweep run
@@ -211,7 +222,9 @@ def test_criterion_7_estimator_properties(sweeps):
         "criterion 7 (estimator property suite)",
         unbiased and two_per_iteration and bounded,
         f"pattern-average gradient error {worst:.2e} (bound 1e-9); "
-        f"2 evals/iteration: {two_per_iteration}; "
+        f"2 evals/iteration: {two_per_iteration} (one {N_SEEDS}-seed batch of "
+        f"{n_max} iterations measured {engine_rows} rows, 2*{n_max}*{N_SEEDS} + "
+        f"{trace_rows} trace rows expected); "
         f"all inter-iterate steps <= d: {bounded}",
     )
 
@@ -221,8 +234,10 @@ def test_criterion_8_invariant_suites():
     failures = []
 
     # floored modulo: range and periodicity (circular distance, ulp-aware)
+    alphas = []
     for _ in range(500):
         alpha = float(rng.uniform(-1e6, 1e6))
+        alphas.append(alpha)
         beta = float(rng.uniform(1e-3, 1e4))
         r = mod_floor(alpha, beta)
         if not (0.0 <= r < beta):
@@ -231,6 +246,14 @@ def test_criterion_8_invariant_suites():
         tolerance = 1e-12 * max(1.0, beta) + np.spacing(abs(alpha) + beta)
         if min(diff, beta - diff) > tolerance:
             failures.append(f"mod_floor periodicity: {alpha}, {beta}")
+    # ... and the engine wraps theta as mod_floor does, bit for bit: a
+    # one-link chain's theta is its one joint wrapped
+    one_link = ChainModel((1.0,))
+    thetas = np.array([forward_kinematics(one_link, [a]).theta_deg for a in alphas])
+    wraps = np.array([mod_floor(a, 360.0) for a in alphas])
+    differ = int((thetas.view(np.int64) != wraps.view(np.int64)).sum())
+    if differ:
+        failures.append(f"FK theta wrap != mod_floor on {differ} of {len(alphas)} draws")
 
     # saturation: odd, idempotent, bounded
     for _ in range(200):
@@ -277,7 +300,8 @@ def test_criterion_8_invariant_suites():
     check(
         "criterion 8 (invariant suites)",
         not failures,
-        "mod_floor, saturation, FK bounds/periodicity, weight scaling, and "
+        f"mod_floor, the FK theta wrap (= mod_floor bit for bit on {len(alphas)} "
+        "draws), saturation, FK bounds/periodicity, weight scaling, and "
         "scenario self-consistency all hold"
         if not failures
         else f"violations: {sorted(set(failures))}",

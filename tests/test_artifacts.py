@@ -8,9 +8,7 @@ import pytest
 from nlspsa_ik.artifacts import (
     SweepReport,
     _median,
-    read_compare_csv,
     read_run_result,
-    read_sweep_csv,
     read_trace_csv,
     run_result_doc,
     sweep_csv_header,
@@ -22,6 +20,7 @@ from nlspsa_ik.artifacts import (
 from nlspsa_ik.errors import ArtifactError, SolverFault
 from nlspsa_ik.optimizer import SolverParams, solve
 from nlspsa_ik.scenarios import builtin
+from oracle import read_compare_csv, read_sweep_csv
 
 
 @pytest.fixture(scope="module")

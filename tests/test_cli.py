@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import nlspsa_ik
-from nlspsa_ik.artifacts import read_compare_csv, read_sweep_csv, read_trace_csv
+from nlspsa_ik.artifacts import read_trace_csv
 from nlspsa_ik import cli
 from nlspsa_ik.cli import main
 from nlspsa_ik.errors import SolverFault
@@ -25,7 +26,7 @@ from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
 from nlspsa_ik.optimizer import SolverParams, solve
 from nlspsa_ik.scenarios import Scenario, builtin, save_scenario
 from nlspsa_ik.svgplot import convergence_svg, posture_svg
-from oracle import combined_loss
+from oracle import combined_loss, read_compare_csv, read_sweep_csv
 
 
 def run_cli(*args):
@@ -536,6 +537,20 @@ class TestCompareCommand:
         doc = json.loads((tmp_path / "compare_1.1.json").read_text())
         assert doc["eval_budget"] == 202
 
+    def test_bad_pso_settings_fail_before_any_seed_is_solved(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the population is above the 2 * n-max budget
+        solved = []
+        monkeypatch.setattr(cli, "solve_many", lambda *args: solved.append(args) or [])
+        code = run_cli(
+            "compare", "--scenario", "2.1", "--n-max", "5000", "--population", "20000",
+            "--seeds", "20", "--out", tmp_path,
+        )
+        assert code == 2
+        assert solved == []
+        assert "eval_budget (10000) must cover" in capsys.readouterr().err
+
     def test_budget_equal_population_still_valid(self, tmp_path):
         code = run_cli(
             "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "15",
@@ -732,7 +747,12 @@ def test_run_json_alone_reproduces_the_run(tmp_path):
     )
     assert code == 0
     doc = json.loads((tmp_path / "run_limited_seed3.json").read_text())
-    assert doc["versions"] == {"nlspsa_ik": nlspsa_ik.__version__, "numpy": np.__version__}
+    assert doc["versions"] == {
+        "nlspsa_ik": nlspsa_ik.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
     limits = doc["joint_limits"]
     chain = ChainModel(
         tuple(doc["link_lengths"]), joint_limits=(limits["q_min"], limits["q_max"])

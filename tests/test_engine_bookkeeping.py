@@ -4,8 +4,6 @@ These tests pin that bookkeeping to a per-iteration reference loop, bit for
 bit, and check that faults keep their exact iteration and wording and that a
 seed's result does not depend on the batch it runs in.
 """
-import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -13,140 +11,10 @@ import pytest
 
 from nlspsa_ik import optimizer
 from nlspsa_ik.errors import SolverFault
-from nlspsa_ik.kinematics import ChainModel, Pose, forward_kinematics
-from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
+from nlspsa_ik.objective import LossEvaluator
 from nlspsa_ik.optimizer import RunRecord, SolverParams, solve, solve_many
 from nlspsa_ik.scenarios import builtin, builtin_ids
-
-BLOCK = 512  # iterations per perturbation block, as drawn by the engine
-
-
-def reference_solve_many(spec, chain, params, seeds, return_faults=False):
-    """Per-iteration oracle: checks faults and the step bound after every
-    iteration, as the engine did before it settled them per block."""
-    seeds = [int(s) for s in seeds]
-    evaluator = LossEvaluator(spec, chain)
-    n = chain.n
-    n_seeds = len(seeds)
-    n_iter = params.n_max
-    nlspsa = params.variant == "nlspsa"
-    d = params.d
-    limits = chain.joint_limits
-    if limits is not None:
-        q_lo = np.asarray(limits[0])
-        q_hi = np.asarray(limits[1])
-
-    gens = [np.random.default_rng(s) for s in seeds]
-    phi = np.tile(np.asarray(spec.reference), (n_seeds, 1))
-    ks = np.arange(1, n_iter + 1)
-    a_ks = params.a / (params.A + ks) ** params.alpha
-    c_ks = params.c / ks**params.gamma
-    trace_ks = list(range(0, n_iter + 1, params.trace_every))
-    if trace_ks[-1] != n_iter:
-        trace_ks.append(n_iter)
-    trace_ks = np.asarray(trace_ks)
-    n_trace = len(trace_ks)
-    traces = np.full((n_seeds, n_trace), np.nan)
-
-    active = np.ones(n_seeds, dtype=bool)
-    faults = [None] * n_seeds
-    iterations_done = np.zeros(n_seeds, dtype=int)
-    evals = np.zeros(n_seeds, dtype=int)
-    trace_evals = np.zeros(n_seeds, dtype=int)
-    max_step = np.zeros(n_seeds)
-
-    def mark_faults(bad_rows, k, what):
-        for s in np.flatnonzero(bad_rows):
-            faults[s] = SolverFault(
-                f"non-finite {what} at iteration {k} (seed {seeds[s]})", iteration=k
-            )
-            active[s] = False
-        if not return_faults and any(f is not None for f in faults):
-            raise next(f for f in faults if f is not None)
-
-    def record_trace(slot, values, k):
-        trace_evals[active] += 1
-        mark_faults(active & ~np.isfinite(values), k, "loss")
-        traces[active, slot] = values[active]
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        record_trace(0, evaluator.evaluate_many(phi), 0)
-        slot = 1
-        for block_start in range(0, n_iter, BLOCK):
-            if not active.any():
-                break
-            block_len = min(BLOCK, n_iter - block_start)
-            deltas = np.empty((block_len, n_seeds, n))
-            for si, gen in enumerate(gens):
-                deltas[:, si, :] = gen.integers(0, 2, size=(block_len, n))
-            deltas *= 2.0
-            deltas -= 1.0
-            for j in range(block_len):
-                if not active.any():
-                    break
-                k = block_start + j + 1
-                a_k, c_k, delta = a_ks[k - 1], c_ks[k - 1], deltas[j]
-                loss_plus = evaluator.evaluate_many(phi + c_k * delta)
-                loss_minus = evaluator.evaluate_many(phi - c_k * delta)
-                evals[active] += 2
-                mark_faults(
-                    active & ~(np.isfinite(loss_plus) & np.isfinite(loss_minus)), k, "loss"
-                )
-                update = a_k * (((loss_plus - loss_minus) / (2.0 * c_k))[:, None] / delta)
-                if nlspsa:
-                    np.clip(update, -d, d, out=update)
-                new_phi = phi - update
-                if limits is not None:
-                    np.clip(new_phi, q_lo, q_hi, out=new_phi)
-                mark_faults(active & ~np.isfinite(new_phi).all(axis=1), k, "iterate")
-                step_inf = np.abs(new_phi - phi).max(axis=1)
-                np.maximum(max_step, np.where(active, step_inf, 0.0), out=max_step)
-                phi = new_phi
-                iterations_done[active] += 1
-                if slot < n_trace and k == trace_ks[slot]:
-                    if active.any():
-                        record_trace(slot, evaluator.evaluate_many(phi), k)
-                    slot += 1
-
-    results = []
-    for s in range(n_seeds):
-        if faults[s] is not None:
-            results.append(faults[s])
-            continue
-        valid = trace_ks <= iterations_done[s]
-        results.append(
-            RunRecord(
-                final_iterate=phi[s].copy(),
-                final_pose=forward_kinematics(chain, phi[s]),
-                loss_trace=traces[s, valid].copy(),
-                trace_iterations=trace_ks[valid].copy(),
-                evaluations=int(evals[s]),
-                trace_evaluations=int(trace_evals[s]),
-                iterations=int(iterations_done[s]),
-                max_step_inf=float(max_step[s]),
-                seed=seeds[s],
-                elapsed=0.0,
-            )
-        )
-    return results
-
-
-def assert_same_outcome(got, want):
-    """Every RunRecord field but ``elapsed`` is bit-identical, or both are
-    the same fault."""
-    if isinstance(want, SolverFault):
-        assert isinstance(got, SolverFault)
-        assert (str(got), got.iteration) == (str(want), want.iteration)
-        return
-    assert isinstance(got, RunRecord), got
-    for field in dataclasses.fields(RunRecord):
-        if field.name == "elapsed":
-            continue
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if field.name == "final_pose":
-            a, b = a.as_array(), b.as_array()
-        assert type(a) is type(b), field.name
-        assert np.array_equal(a, b), field.name
+from oracle import assert_same_outcome, reference_solve_many, three_joint_problem
 
 
 @pytest.mark.parametrize(
@@ -243,18 +111,17 @@ def engine_positions(params, n_seeds=len(SEEDS), n=8):
     return where
 
 
-def oracle_positions(params, n_seeds=len(SEEDS)):
-    """The same map for reference_solve_many: call 0 is the initial trace
-    point, and iteration k makes a plus call, a minus call and, at a trace
-    point, a trace call, each with one row per seed."""
+def oracle_positions(params):
+    """The same map for one seed's reference_solve_many, whose calls each
+    measure one row: the initial trace point, then for each iteration k a
+    plus call, a minus call and, at a trace point, a trace call."""
     traced = trace_points(params)
-    where = {(0, "trace", s): (0, s) for s in range(n_seeds)}
+    where = {(0, "trace", 0): (0, 0)}
     call = 0
     for k in range(1, params.n_max + 1):
         for kind in ("plus", "minus", "trace") if k in traced else ("plus", "minus"):
             call += 1
-            for s in range(n_seeds):
-                where[k, kind, s] = (call, s)
+            where[k, kind, 0] = (call, 0)
     return where
 
 
@@ -285,6 +152,16 @@ SCENARIO_1_1 = builtin("1.1")
 
 def run_batch(params):
     return solve_many(SCENARIO_1_1.spec, SCENARIO_1_1.chain, params, SEEDS)
+
+
+def assert_oracle_agrees(monkeypatch, params, plan, outcomes):
+    """reference_solve_many gives ``outcomes`` with ``plan`` injected. It runs
+    one seed per call, as a faulted seed makes fewer calls."""
+    for s, outcome in zip(SEEDS, outcomes, strict=True):
+        own = {(k, kind, 0): v for (k, kind, seed), v in plan.items() if seed == s}
+        injecting(monkeypatch, own, oracle_positions(params))
+        (want,) = reference_solve_many(SCENARIO_1_1.spec, SCENARIO_1_1.chain, params, [s])
+        assert_same_outcome(outcome, want)
 
 
 @pytest.mark.parametrize("measurement", ["plus", "minus"])
@@ -320,22 +197,19 @@ def test_non_finite_iterate_is_named_as_such(monkeypatch):
     )
     for s in (1, 3):
         assert_same_outcome(outcomes[s], clean[s])
+    assert_oracle_agrees(monkeypatch, params, plan, outcomes)
 
 
 def test_large_mid_block_step_matches_oracle(monkeypatch):
     # Seed 1 takes by far its largest step at iteration 700, mid-block, and
     # runs on to n_max.
     params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, variant="spsa", a=1e-3)
-    scenario = builtin("1.1")
     plan = {(INJECT_AT, "plus", 1): 1e3}
     injecting(monkeypatch, plan, engine_positions(params))
     got = run_batch(params)
-    injecting(monkeypatch, plan, oracle_positions(params))
-    want = reference_solve_many(scenario.spec, scenario.chain, params, SEEDS, True)
     assert got[1].iterations == N_MAX
     assert got[1].max_step_inf > 10 * max(got[s].max_step_inf for s in (0, 2, 3))
-    for g, w in zip(got, want, strict=True):
-        assert_same_outcome(g, w)
+    assert_oracle_agrees(monkeypatch, params, plan, got)
 
 
 def test_non_finite_traced_loss_faults_at_trace_point(monkeypatch):
@@ -348,6 +222,7 @@ def test_non_finite_traced_loss_faults_at_trace_point(monkeypatch):
     )
     assert outcomes[1].iteration == N_MAX
     assert isinstance(outcomes[0], RunRecord) and isinstance(outcomes[3], RunRecord)
+    assert_oracle_agrees(monkeypatch, params, plan, outcomes)
 
 
 @pytest.mark.parametrize("scenario_id", builtin_ids())
@@ -408,36 +283,28 @@ def test_trace_arrays_are_shared_read_only_views():
     assert np.array_equal(first.trace_iterations, np.arange(0, 601, 5))
 
 
+def peak_bytes(run):
+    """The traced allocation peak of ``run()`` above what was allocated
+    before it."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def test_default_solve_stays_under_one_megabyte():
     # 25000 traced iterations: the trace itself is 2 x 200 kB, and neither the
     # gain schedules nor the trace points may exist as full-run arrays or
     # Python lists besides it.
     scenario = builtin("1.1")
     solve(scenario.spec, scenario.chain, SolverParams(n_max=50))  # first-use imports
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        solve(scenario.spec, scenario.chain, SolverParams())
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-def three_joint_problem():
-    """A small 3-joint chain: an odd joint count."""
-    n = 3
-    chain = ChainModel.unit_links(n)
-    spec = ObjectiveSpec(
-        target=Pose(n / 2.0, n / 4.0, 45.0),
-        reference=np.random.default_rng(0).uniform(-10, 10, n),
-        r_ee=default_r_ee(),
-        q_jmc=np.eye(n) * (2 * math.pi / 360) ** 2 / n,
-    )
-    return spec, chain
+    assert peak_bytes(lambda: solve(scenario.spec, scenario.chain, SolverParams())) < 1_000_000
 
 
 def test_block_lengths_follow_the_batch_shape():
@@ -485,15 +352,8 @@ def test_compare_shape_solve_stays_under_one_and_a_quarter_megabytes():
     # is bounded by its iterate budget, not 513 iterates long.
     scenario = builtin("2.1")
     params = SolverParams(n_max=600, trace_every=600)
-    solve_many(scenario.spec, scenario.chain, params, range(20))  # first-use imports
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        solve_many(scenario.spec, scenario.chain, params, range(20))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert peak < 1_250_000
+    def run():
+        return solve_many(scenario.spec, scenario.chain, params, range(20))
+
+    run()  # first-use imports
+    assert peak_bytes(run) < 1_250_000

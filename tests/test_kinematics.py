@@ -9,13 +9,12 @@ from nlspsa_ik.kinematics import (
     Pose,
     forward_kinematics,
     joint_positions,
-    mod_floor,
     pose_error,
     pose_errors,
     pose_rows,
 )
 from nlspsa_ik.scenarios import builtin, builtin_ids
-from oracle import scalar_pose
+from oracle import mod_floor, scalar_pose
 
 
 def core_poses(chain: ChainModel, configs: np.ndarray) -> np.ndarray:

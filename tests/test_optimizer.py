@@ -9,46 +9,20 @@ from hypothesis import given, strategies as st
 import nlspsa_ik
 from nlspsa_ik import optimizer
 from nlspsa_ik.errors import SolverFault
-from nlspsa_ik.kinematics import ChainModel, Pose
-from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
-from nlspsa_ik.optimizer import (
-    RunRecord,
-    SolverParams,
-    saturate,
-    solve,
-    solve_many,
-    spsa_gradient,
-)
+from nlspsa_ik.kinematics import ChainModel
+from nlspsa_ik.objective import LossEvaluator
+from nlspsa_ik.optimizer import RunRecord, SolverParams, saturate, solve, solve_many
 from nlspsa_ik.scenarios import builtin
+from oracle import (
+    assert_same_outcome,
+    gain_schedules,
+    loss_gradient,
+    reference_solve_many,
+    spsa_gradient,
+    three_joint_problem,
+)
 
 DEFAULTS = SolverParams()
-
-
-def gain_schedules(params, ks):
-    """The engine's gain schedules a_k and c_k: numpy array power,
-    elementwise in k, so any slice of k gives the same values."""
-    ks = np.asarray(ks)
-    return params.a / (params.A + ks) ** params.alpha, params.c / ks**params.gamma
-
-
-def reference_solve(spec, chain, params, seed):
-    """One seed's run as a loop over the public per-step functions:
-    ``spsa_gradient`` over a ``LossEvaluator``, then ``saturate`` in the
-    nlspsa variant. Returns the final iterate and the per-iteration loss
-    trace (the engine's ``trace_every=1``)."""
-    evaluator = LossEvaluator(spec, chain)
-    rng = np.random.default_rng(seed)
-    a_ks, c_ks = gain_schedules(params, np.arange(1, params.n_max + 1))
-    phi = np.asarray(spec.reference, dtype=float)
-    trace = [evaluator(phi)]
-    for a_k, c_k in zip(a_ks.tolist(), c_ks.tolist()):
-        delta = rng.integers(0, 2, size=chain.n) * 2.0 - 1.0
-        update = a_k * spsa_gradient(evaluator, phi, c_k, delta)
-        if params.variant == "nlspsa":
-            update = saturate(update, params.d)
-        phi = phi - update
-        trace.append(evaluator(phi))
-    return phi, np.array(trace)
 
 
 def counting_helpers(monkeypatch):
@@ -145,6 +119,49 @@ class TestSpsaGradient:
             spsa_gradient(lambda q: math.inf, np.zeros(2), 0.1, np.ones(2))
 
 
+LOSS_IDS = tuple(f"1.{i}" for i in range(1, 9))
+
+
+def loss_point(scenario_id):
+    """The loss of an 8-joint scenario and a point phi away from its start.
+    The offsets sum to 8 deg, so theta is at least 8 deg from the 0/360 wall
+    (1.7 and 1.8 start at theta 0), beyond the 0.8 deg that a perturbation
+    of c = 0.1 can move it."""
+    s = builtin(scenario_id)
+    phi = s.spec.reference + np.linspace(-3.0, 5.0, 8)
+    return s, LossEvaluator(s.spec, s.chain), phi
+
+
+class TestEstimatorOnTheLoss:
+    @pytest.mark.parametrize("scenario_id", LOSS_IDS)
+    def test_closed_form_gradient_matches_central_differences(self, scenario_id):
+        s, loss, phi = loss_point(scenario_id)
+        h = 1e-4
+        central = np.array(
+            [(loss(phi + h * e) - loss(phi - h * e)) / (2 * h) for e in np.eye(8)]
+        )
+        gradient = loss_gradient(s.spec, s.chain, phi)
+        assert np.abs(central - gradient).max() <= 1e-7 * np.abs(gradient).max()
+
+    @pytest.mark.parametrize("scenario_id", LOSS_IDS)
+    def test_pattern_average_bias_falls_as_c_squared(self, scenario_id):
+        # The average over all 256 patterns of the two-measurement estimate
+        # has an O(c^2) bias (Spall 1992, Lemma 1): it falls 4x as c halves.
+        s, loss, phi = loss_point(scenario_id)
+        gradient = loss_gradient(s.spec, s.chain, phi)
+        patterns = [np.array(p) for p in itertools.product((-1.0, 1.0), repeat=8)]
+        biases = []
+        for c in (0.1, 0.05, 0.025):
+            mean = np.mean([spsa_gradient(loss, phi, c, p) for p in patterns], axis=0)
+            biases.append(np.abs(mean - gradient).max())
+        assert biases[0] / biases[1] == pytest.approx(4.0, rel=5e-3)
+        assert biases[1] / biases[2] == pytest.approx(4.0, rel=5e-3)
+
+    def test_gradient_at_the_straight_start_of_1_7_is_zero(self):
+        s = builtin("1.7")
+        assert np.all(loss_gradient(s.spec, s.chain, s.spec.reference) == 0.0)
+
+
 class TestSaturate:
     def test_examples(self):
         assert saturate(np.array([0.01, -0.5]), 0.03) == pytest.approx([0.01, -0.03])
@@ -184,23 +201,9 @@ class TestSaturate:
         assert np.signbit(oracle(zeros)).tolist() == [False, False]
 
 
-def quadratic_scenario(n=3, seed=0):
-    """Small well-conditioned problem for fast solver tests."""
-    rng = np.random.default_rng(seed)
-    q0 = rng.uniform(-10, 10, n)
-    chain = ChainModel.unit_links(n)
-    spec = ObjectiveSpec(
-        target=Pose(n / 2.0, n / 4.0, 45.0),
-        reference=q0,
-        r_ee=default_r_ee(),
-        q_jmc=np.eye(n) * (2 * math.pi / 360) ** 2 / n,
-    )
-    return spec, chain
-
-
 class TestSolve:
     def test_budget_exactness_and_trace_bookkeeping(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         params = SolverParams(n_max=500)
         rec = solve(spec, chain, params, 3)
         assert rec.evaluations == 2 * 500
@@ -212,12 +215,12 @@ class TestSolve:
         assert rec.loss_trace[-1] == rec.final_loss
 
     def test_total_measurements_match_counter(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         rec = solve(spec, chain, SolverParams(n_max=200), 1)
         assert rec.evaluations + rec.trace_evaluations == 2 * 200 + 201
 
     def test_trace_subsampling_always_includes_final(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         rec = solve(spec, chain, SolverParams(n_max=20, trace_every=7), 0)
         assert list(rec.trace_iterations) == [0, 7, 14, 20]
         assert rec.final_loss == rec.loss_trace[-1]
@@ -236,7 +239,7 @@ class TestSolve:
             rec.final_loss = 0.0
 
     def test_deterministic_given_seed(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         params = SolverParams(n_max=300)
         a = solve(spec, chain, params, 11)
         b = solve(spec, chain, params, 11)
@@ -247,7 +250,7 @@ class TestSolve:
         assert not np.array_equal(a.final_iterate, c.final_iterate)
 
     def test_single_iteration_stays_within_bound(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         params = SolverParams(n_max=1)
         rec = solve(spec, chain, params, 5)
         assert np.abs(rec.final_iterate - spec.reference).max() <= params.d * (1 + 1e-12)
@@ -269,21 +272,20 @@ class TestSolve:
     @pytest.mark.parametrize("variant", ["nlspsa", "spsa"])
     @pytest.mark.parametrize("scenario_id", ["1.1", "1.7", "2.1", "2.3"])
     def test_engine_matches_reference_loop(self, scenario_id, variant):
-        # the batched engine must agree, bit for bit, with a loop over the
-        # public per-step functions
+        # the batched engine must agree, bit for bit, with the per-iteration
+        # loop over spsa_gradient and saturate
         scenario = builtin(scenario_id)
         params = SolverParams(n_max=1500, variant=variant)
         rec = solve(scenario.spec, scenario.chain, params, 7)
-        phi, trace = reference_solve(scenario.spec, scenario.chain, params, 7)
-        assert np.array_equal(rec.final_iterate, phi)
-        assert np.array_equal(rec.loss_trace, trace)
+        (want,) = reference_solve_many(scenario.spec, scenario.chain, params, [7])
+        assert_same_outcome(rec, want)
 
     @pytest.mark.parametrize("variant, saturations", [("nlspsa", 300), ("spsa", 0)])
     def test_engine_runs_the_certified_helpers(self, monkeypatch, variant, saturations):
-        # criteria 7 and 8 certify spsa_gradient and saturate; the engine
-        # must run saturate and the estimate spsa_gradient returns through
+        # criterion 7 certifies the estimate spsa_gradient returns through
+        # and criterion 8 saturate; the engine must run both
         calls = counting_helpers(monkeypatch)
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         rec = solve(spec, chain, SolverParams(n_max=300, variant=variant), 2)
         assert rec.iterations == 300
         assert calls == {"saturate": saturations, "_estimate": 300}
@@ -295,7 +297,7 @@ class TestSolve:
         assert g == pytest.approx([2.0, -2.0, 2.0])
 
     def test_plain_spsa_matches_nlspsa_when_steps_are_small(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         small = dict(a=1e-4, n_max=400)
         rec_sat = solve(spec, chain, SolverParams(variant="nlspsa", **small), 13)
         rec_raw = solve(spec, chain, SolverParams(variant="spsa", **small), 13)
@@ -316,14 +318,14 @@ class TestSolve:
         assert rec.max_step_inf <= DEFAULTS.d * (1 + 1e-9)
 
     def test_divergent_plain_spsa_faults_with_iteration(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         params = SolverParams(variant="spsa", a=1e200, n_max=60)
         with pytest.raises(SolverFault) as excinfo:
             solve(spec, chain, params, 0)
         assert excinfo.value.iteration >= 1
 
     def test_solve_many_matches_single_seed_runs(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         params = SolverParams(n_max=150)
         batch = solve_many(spec, chain, params, [4, 9])
         for seed, rec in zip([4, 9], batch):
@@ -332,13 +334,13 @@ class TestSolve:
             assert alone.final_iterate == pytest.approx(rec.final_iterate, abs=1e-9)
 
     def test_solve_many_collects_faults(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         params = SolverParams(variant="spsa", a=1e200, n_max=60)
         outcomes = solve_many(spec, chain, params, [0, 1])
         assert all(isinstance(o, SolverFault) for o in outcomes)
 
     def test_negative_seed_rejected(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         params = SolverParams(n_max=5)
         message = "^seed must be nonnegative, got -1$"
         with pytest.raises(ValueError, match=message):
@@ -347,7 +349,7 @@ class TestSolve:
             solve(spec, chain, params, -1)
 
     def test_solve_many_empty_seed_list(self):
-        spec, chain = quadratic_scenario()
+        spec, chain = three_joint_problem()
         assert solve_many(spec, chain, SolverParams(n_max=5), []) == []
 
     def test_record_shape(self):
@@ -366,8 +368,8 @@ def test_public_names():
         "PsoParams", "RunRecord", "Scenario", "ScenarioError",
         "ScenarioFormatError", "ScenarioLookupError", "SolverFault",
         "SolverParams", "builtin", "builtin_ids", "default_r_ee",
-        "forward_kinematics", "joint_positions", "load_scenario", "mod_floor",
-        "pose_error", "pso_solve", "saturate", "save_scenario", "solve",
-        "solve_many", "spsa_gradient",
+        "forward_kinematics", "joint_positions", "load_scenario", "pose_error",
+        "pso_solve", "saturate", "save_scenario", "solve", "solve_many",
     }
+    assert len(nlspsa_ik.__all__) == 25
     assert all(hasattr(nlspsa_ik, name) for name in nlspsa_ik.__all__)
