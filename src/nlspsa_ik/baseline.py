@@ -7,6 +7,7 @@ defaults.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -34,8 +35,9 @@ class PsoParams:
 
     Particles start at the reference configuration plus a componentwise
     uniform offset in (-init_spread, +init_spread) degrees, with zero initial
-    velocities. When init_spread > 0, velocity components are clamped to
-    +-init_spread; with init_spread = 0 they are not clamped.
+    velocities; init_spread is finite and nonnegative. When init_spread > 0,
+    velocity components are clamped to +-init_spread; with init_spread = 0
+    they are not clamped.
     """
 
     population: int = 100
@@ -50,6 +52,8 @@ class PsoParams:
                 f"eval_budget ({self.eval_budget}) must cover one evaluation "
                 f"pass of the population ({self.population})"
             )
+        if not math.isfinite(self.init_spread):
+            raise ValueError(f"init_spread must be finite, got {self.init_spread}")
         if self.init_spread < 0:
             raise ValueError(f"init_spread must be nonnegative, got {self.init_spread}")
 

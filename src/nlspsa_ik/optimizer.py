@@ -9,6 +9,7 @@ iteration; the "spsa" variant applies the raw update.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,7 +51,8 @@ class SolverParams:
     Step size decays as a/(A+k)^alpha and the perturbation size as c/k^gamma
     with the iteration index k starting at 1. ``d`` bounds each component of
     an update (degrees per joint per iteration) in the "nlspsa" variant.
-    Every run that does not fault takes exactly ``n_max`` iterations.
+    All six are finite. Every run that does not fault takes exactly
+    ``n_max`` iterations.
     """
 
     a: float = 3000.0
@@ -64,6 +66,9 @@ class SolverParams:
     trace_every: int = 1
 
     def __post_init__(self):
+        for name in ("a", "A", "c", "alpha", "gamma", "d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("a", "c", "alpha", "gamma", "d"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -171,10 +176,11 @@ def solve_many(
     seed's stacked plus and minus configurations, and takes the step, storing
     the losses and the new iterate in per-block buffers. One pass per block
     then walks those buffers by slices of ``_SCAN_ROWS`` iterations: it
-    evaluates each slice's traced iterates in one call, checks finiteness
-    and bounds the step, with the same outcome, down to the fault iteration,
-    as checking after every iteration. Every seed that does not fault runs
-    all ``n_max`` iterations, and its trace values are all finite.
+    evaluates each slice's traced iterates in one call (the first slice's
+    call also holds the start), checks finiteness and bounds the step, with
+    the same outcome, down to the fault iteration, as checking after every
+    iteration. Every seed that does not fault runs all ``n_max``
+    iterations, and its trace values are all finite.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -230,11 +236,12 @@ def solve_many(
     def settle_block(block_start: int, block_len: int, slot: int) -> int:
         """Trace points, checks and bookkeeping for iterations block_start+1
         .. block_start + block_len, whose trace points start at ``slot``
-        (slot 0, the initial point, has its own call and is settled with the
-        first block). Returns the first trace point of the next block."""
+        (slot 0, the initial point hist[0], is evaluated and settled with
+        the first block's first slice). Returns the first trace point of the
+        next block."""
         history = hist[: block_len + 1]
         at_k = np.arange(block_start + 1, block_start + block_len + 1)
-        traced = max(slot, 1)  # the first trace point not yet evaluated
+        traced = slot  # the first trace point not yet evaluated
         iterate_bad = np.empty((block_len, n_seeds), dtype=bool)
         steps = np.empty((block_len, n_seeds))
         for lo in range(0, block_len, _SCAN_ROWS):
@@ -276,7 +283,6 @@ def solve_many(
         return traced
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        evaluate(hist[0], out=traces[0])
         slot = 0  # the first trace point not yet settled
         for block_start in range(0, n_iter, block):
             if not active.any():

@@ -39,6 +39,11 @@ class TestPsoParamsValidation:
         with pytest.raises(ValueError):
             PsoParams(init_spread=-1.0)
 
+    @pytest.mark.parametrize("spread", [math.nan, math.inf])
+    def test_rejects_non_finite_init_spread(self, spread):
+        with pytest.raises(ValueError, match=f"^init_spread must be finite, got {spread}$"):
+            PsoParams(init_spread=spread)
+
 
 class TestPsoSolve:
     def test_rejects_negative_seed(self):

@@ -220,7 +220,10 @@ def test_nan_joint_limit_in_a_scenario_file_is_a_scenario_error(tmp_path, capsys
     assert err.startswith("scenario error: ") and "NaN" in err
 
 
-@pytest.mark.parametrize("option", ["--w-jmc", "--w-ee"])
+# the loss weights and the real solver settings
+@pytest.mark.parametrize(
+    "option", ["--w-jmc", "--w-ee", "--a", "--A", "--c", "--alpha", "--gamma", "--d"]
+)
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_weight_is_a_usage_error(option, value, tmp_path, capsys):
     code = run_cli("run", "--scenario", "1.1", option, value, "--out", tmp_path)
@@ -550,6 +553,21 @@ class TestCompareCommand:
         assert code == 2
         assert solved == []
         assert "eval_budget (10000) must cover" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spread", ["nan", "inf"])
+    def test_non_finite_init_spread_fails_before_any_seed_is_solved(
+        self, spread, tmp_path, capsys, monkeypatch
+    ):
+        solved = []
+        monkeypatch.setattr(cli, "solve_many", lambda *args: solved.append(args) or [])
+        code = run_cli(
+            "compare", "--scenario", "2.1", "--init-spread", spread, "--seeds", "2",
+            "--n-max", "200", "--out", tmp_path,
+        )
+        assert code == 2
+        assert solved == []
+        assert capsys.readouterr().err == f"error: init_spread must be finite, got {spread}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_budget_equal_population_still_valid(self, tmp_path):
         code = run_cli(

@@ -9,15 +9,12 @@ from hypothesis import given, strategies as st
 import nlspsa_ik
 from nlspsa_ik import optimizer
 from nlspsa_ik.errors import SolverFault
-from nlspsa_ik.kinematics import ChainModel
 from nlspsa_ik.objective import LossEvaluator
 from nlspsa_ik.optimizer import RunRecord, SolverParams, saturate, solve, solve_many
 from nlspsa_ik.scenarios import builtin
 from oracle import (
-    assert_same_outcome,
     gain_schedules,
     loss_gradient,
-    reference_solve_many,
     spsa_gradient,
     three_joint_problem,
 )
@@ -50,6 +47,11 @@ class TestSolverParamsValidation:
             {"a": 0.0}, {"c": -1.0}, {"alpha": 0.0}, {"gamma": 0.0}, {"d": 0.0},
             {"A": -1.0}, {"n_max": 0}, {"variant": "adam"},
             {"trace_every": 0},
+            *(
+                {name: value}
+                for name in ("a", "A", "c", "alpha", "gamma", "d")
+                for value in (math.nan, math.inf)
+            ),
         ],
     )
     def test_rejects(self, kwargs):
@@ -269,17 +271,6 @@ class TestSolve:
         a_ks, c_ks = gain_schedules(DEFAULTS, np.arange(1, 200))
         assert np.all(np.diff(a_ks) < 0) and np.all(np.diff(c_ks) < 0)
 
-    @pytest.mark.parametrize("variant", ["nlspsa", "spsa"])
-    @pytest.mark.parametrize("scenario_id", ["1.1", "1.7", "2.1", "2.3"])
-    def test_engine_matches_reference_loop(self, scenario_id, variant):
-        # the batched engine must agree, bit for bit, with the per-iteration
-        # loop over spsa_gradient and saturate
-        scenario = builtin(scenario_id)
-        params = SolverParams(n_max=1500, variant=variant)
-        rec = solve(scenario.spec, scenario.chain, params, 7)
-        (want,) = reference_solve_many(scenario.spec, scenario.chain, params, [7])
-        assert_same_outcome(rec, want)
-
     @pytest.mark.parametrize("variant, saturations", [("nlspsa", 300), ("spsa", 0)])
     def test_engine_runs_the_certified_helpers(self, monkeypatch, variant, saturations):
         # criterion 7 certifies the estimate spsa_gradient returns through
@@ -305,33 +296,12 @@ class TestSolve:
         assert np.array_equal(rec_sat.final_iterate, rec_raw.final_iterate)
         assert np.array_equal(rec_sat.loss_trace, rec_raw.loss_trace)
 
-    def test_joint_limits_respected(self):
-        scenario = builtin("1.1")
-        lo, hi = -5.0, 95.0
-        chain = ChainModel(
-            scenario.chain.link_lengths,
-            joint_limits=((lo,) * 8, (hi,) * 8),
-        )
-        rec = solve(scenario.spec, chain, SolverParams(n_max=2000), 1)
-        assert rec.final_iterate.min() >= lo - 1e-12
-        assert rec.final_iterate.max() <= hi + 1e-12
-        assert rec.max_step_inf <= DEFAULTS.d * (1 + 1e-9)
-
     def test_divergent_plain_spsa_faults_with_iteration(self):
         spec, chain = three_joint_problem()
         params = SolverParams(variant="spsa", a=1e200, n_max=60)
         with pytest.raises(SolverFault) as excinfo:
             solve(spec, chain, params, 0)
         assert excinfo.value.iteration >= 1
-
-    def test_solve_many_matches_single_seed_runs(self):
-        spec, chain = three_joint_problem()
-        params = SolverParams(n_max=150)
-        batch = solve_many(spec, chain, params, [4, 9])
-        for seed, rec in zip([4, 9], batch):
-            alone = solve_many(spec, chain, params, [seed])[0]
-            assert rec.seed == seed
-            assert alone.final_iterate == pytest.approx(rec.final_iterate, abs=1e-9)
 
     def test_solve_many_collects_faults(self):
         spec, chain = three_joint_problem()
