@@ -95,8 +95,17 @@ def write_trace_csv(path, record: RunRecord) -> None:
 
 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The iterations and losses of a trace CSV. A run writes a trace only
+    when all its values are finite, so a non-finite loss is an
+    :class:`ArtifactError` naming its line."""
     _, iterations, cells = _read_csv(path, ["iteration", "loss"])
-    return np.array(iterations, dtype=int), cells[:, 0]
+    losses = cells[:, 0]
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        row = bad[0]
+        # the header is line 1 and each row one line after it
+        raise ArtifactError(f"{path}, line {row + 2}: non-finite loss {losses[row]}")
+    return np.array(iterations, dtype=int), losses
 
 
 @dataclass(eq=False)
@@ -249,6 +258,13 @@ def write_compare_csv(path, seeds, nlspsa_losses, pso_losses) -> None:
 
 def _pose_doc(pose: Pose) -> dict:
     return {"x": pose.x, "y": pose.y, "theta_deg": pose.theta_deg}
+
+
+def pose_from_doc(node) -> Pose:
+    """The pose ``_pose_doc`` writes. A missing key raises ``KeyError``, and
+    an ill-typed, non-finite or out-of-range value ``TypeError`` or
+    ``ValueError``."""
+    return Pose(float(node["x"]), float(node["y"]), float(node["theta_deg"]))
 
 
 def _limits_doc(chain: ChainModel) -> dict | None:

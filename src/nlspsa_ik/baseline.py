@@ -7,7 +7,6 @@ defaults.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -24,38 +23,29 @@ from .optimizer import RunRecord
 INERTIA = 0.7298
 COGNITIVE = 1.49618
 SOCIAL = 1.49618
+# The swarm: POPULATION particles start at the reference configuration plus
+# a componentwise uniform offset in (-INIT_SPREAD, +INIT_SPREAD) degrees,
+# with zero velocities, and velocity components are clamped to
+# +-INIT_SPREAD.
+POPULATION = 100
+INIT_SPREAD = 20.0
 
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm size, evaluation budget and initialization, shared by every
-    seed of a comparison (the seed is an argument of ``pso_solve``). The
-    velocity coefficients are the constants ``INERTIA``, ``COGNITIVE`` and
-    ``SOCIAL``.
-
-    Particles start at the reference configuration plus a componentwise
-    uniform offset in (-init_spread, +init_spread) degrees, with zero initial
-    velocities; init_spread is finite and nonnegative. When init_spread > 0,
-    velocity components are clamped to +-init_spread; with init_spread = 0
-    they are not clamped.
+    """The loss-evaluation budget of every seed of a comparison (the seed is
+    an argument of ``pso_solve``). It must cover the initial evaluation of
+    the ``POPULATION`` particles.
     """
 
-    population: int = 100
     eval_budget: int = 50000
-    init_spread: float = 20.0
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError(f"population must be at least 2, got {self.population}")
-        if self.eval_budget < self.population:
+        if self.eval_budget < POPULATION:
             raise ValueError(
                 f"eval_budget ({self.eval_budget}) must cover one evaluation "
-                f"pass of the population ({self.population})"
+                f"pass of the population ({POPULATION})"
             )
-        if not math.isfinite(self.init_spread):
-            raise ValueError(f"init_spread must be finite, got {self.init_spread}")
-        if self.init_spread < 0:
-            raise ValueError(f"init_spread must be nonnegative, got {self.init_spread}")
 
 
 def pso_solve(
@@ -75,11 +65,10 @@ def pso_solve(
     evaluator = LossEvaluator(spec, chain)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    pop = params.population
+    pop = POPULATION
     n = chain.n
-    spread = params.init_spread
 
-    positions = spec.reference + rng.uniform(-spread, spread, size=(pop, n))
+    positions = spec.reference + rng.uniform(-INIT_SPREAD, INIT_SPREAD, size=(pop, n))
     velocities = np.zeros((pop, n))
     losses = evaluator.evaluate_many(positions)
     if not np.isfinite(losses).all():
@@ -109,8 +98,7 @@ def pso_solve(
             velocities += np.multiply(r_cog, np.subtract(pbest_pos, positions, pull), pull)
             r_soc *= SOCIAL
             velocities += np.multiply(r_soc, np.subtract(gbest_pos, positions, pull), pull)
-            if spread > 0:
-                np.clip(velocities, -spread, spread, out=velocities)
+            np.clip(velocities, -INIT_SPREAD, INIT_SPREAD, out=velocities)
             positions += velocities
             losses = evaluator.evaluate_many(positions[:m])
             evals += m

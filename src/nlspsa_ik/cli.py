@@ -19,6 +19,7 @@ from .artifacts import (
     SweepReport,
     _none_if_nan,
     chain_from_doc,
+    pose_from_doc,
     read_run_result,
     read_trace_csv,
     run_result_doc,
@@ -27,7 +28,7 @@ from .artifacts import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .baseline import PsoParams, pso_solve
+from .baseline import INIT_SPREAD, POPULATION, PsoParams, pso_solve
 from .errors import ArtifactError, ScenarioError, ScenarioLookupError, SolverFault
 from .kinematics import joint_positions
 from .objective import ObjectiveSpec
@@ -189,10 +190,9 @@ def cmd_compare(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
     budget = 2 * params.n_max
-    # built first, so that bad PSO settings fail before any seed is solved
-    pso_params = PsoParams(
-        population=args.population, eval_budget=budget, init_spread=args.init_spread
-    )
+    # built first, so that a budget below the swarm fails before any seed is
+    # solved
+    pso_params = PsoParams(eval_budget=budget)
     nl_outcomes = solve_many(spec, scenario.chain, params, seeds)
     pso_outcomes: list = []
     for seed in seeds:
@@ -219,8 +219,8 @@ def cmd_compare(args) -> int:
         {
             "scenario_id": scenario.id,
             "eval_budget": budget,
-            "population": args.population,
-            "init_spread": args.init_spread,
+            "population": POPULATION,
+            "init_spread": INIT_SPREAD,
             "seeds": seeds,
             "nlspsa_losses": [_none_if_nan(v) for v in nl.final_losses],
             "pso_losses": [_none_if_nan(v) for v in pso.final_losses],
@@ -244,10 +244,11 @@ def cmd_plot(args) -> int:
     try:
         trace_path = run_path.parent / doc["trace_csv"]
         chain = chain_from_doc(doc)
+        target = pose_from_doc(doc["target"])
         posture = posture_svg(
             joint_positions(chain, doc["q0_deg"]),
             joint_positions(chain, doc["final_q_deg"]),
-            (doc["target"]["x"], doc["target"]["y"]),
+            (target.x, target.y),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{run_path}: malformed run artifact: {exc!r}") from None
@@ -317,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="NLSPSA vs PSO, 2 * n-max loss evaluations each")
     _add_common_args(p_cmp)
     p_cmp.add_argument("--seeds", type=int, default=20)
-    p_cmp.add_argument("--population", type=int, default=100,
-                       help="PSO population size (default: 100)")
-    p_cmp.add_argument("--init-spread", type=float, default=20.0, dest="init_spread",
-                       help="PSO initialization half-range, degrees (default: 20)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_plot = sub.add_parser("plot", help="render SVG figures from run artifacts")

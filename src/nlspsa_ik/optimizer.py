@@ -220,7 +220,6 @@ def solve_many(
     # row views made once, so the loop does not index the buffers
     hist_rows, measured_rows = list(hist), list(measured)
     plus_rows, minus_rows = list(loss_plus), list(loss_minus)
-    finite_buf = np.empty((_SCAN_ROWS, n_seeds, n), dtype=bool)
     step_buf = np.empty((_SCAN_ROWS, n_seeds, n))
 
     active = np.ones(n_seeds, dtype=bool)
@@ -242,7 +241,6 @@ def solve_many(
         history = hist[: block_len + 1]
         at_k = np.arange(block_start + 1, block_start + block_len + 1)
         traced = slot  # the first trace point not yet evaluated
-        iterate_bad = np.empty((block_len, n_seeds), dtype=bool)
         steps = np.empty((block_len, n_seeds))
         for lo in range(0, block_len, _SCAN_ROWS):
             hi = min(lo + _SCAN_ROWS, block_len)
@@ -252,8 +250,6 @@ def solve_many(
                 rows = hist[trace_ks[traced:upto] - block_start]
                 evaluate(rows.reshape(-1, n), out=traces[traced:upto].reshape(-1))
                 traced = upto
-            finite = np.isfinite(history[lo + 1 : hi + 1], out=finite_buf[: hi - lo])
-            np.logical_not(finite.all(axis=2), out=iterate_bad[lo:hi])
             step = np.subtract(
                 history[lo + 1 : hi + 1], history[lo:hi], out=step_buf[: hi - lo]
             )
@@ -261,9 +257,11 @@ def solve_many(
         measured_bad = ~(
             np.isfinite(loss_plus[:block_len]) & np.isfinite(loss_minus[:block_len])
         )
+        # An active seed's previous iterate is finite and max propagates
+        # NaN, so a step is non-finite exactly where its new iterate is.
         events = np.minimum(
             first_event(measured_bad, at_k, _LOSS),
-            first_event(iterate_bad, at_k, _ITERATE),
+            first_event(~np.isfinite(steps), at_k, _ITERATE),
         )
         values, value_ks = traces[slot:traced], trace_ks[slot:traced]
         np.minimum(events, first_event(~np.isfinite(values), value_ks, _TRACE_LOSS), out=events)

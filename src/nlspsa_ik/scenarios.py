@@ -18,6 +18,7 @@ from .artifacts import (
     _limits_doc,
     _pose_doc,
     chain_from_doc,
+    pose_from_doc,
     read_json_object,
     write_json,
 )
@@ -185,10 +186,6 @@ def save_scenario(scenario: Scenario, path) -> None:
     write_json(path, doc)
 
 
-def _parse_pose(node) -> Pose:
-    return Pose(float(node["x"]), float(node["y"]), float(node["theta_deg"]))
-
-
 def _parse_matrix(doc: dict, key: str) -> np.ndarray:
     """The row-major matrix ``doc[key]``, or the diagonal matrix of
     ``doc[key + '_diag']``; :class:`ObjectiveSpec` checks its shape."""
@@ -215,14 +212,14 @@ def load_scenario(path) -> Scenario:
         chain = chain_from_doc(doc)
         spec = ObjectiveSpec(
             reference=doc["q0_deg"],
-            target=_parse_pose(doc["target"]),
+            target=pose_from_doc(doc["target"]),
             r_ee=_parse_matrix(doc, "r_ee"),
             q_jmc=_parse_matrix(doc, "q_jmc"),
             w_jmc=float(doc["w_jmc"]),
             w_ee=float(doc["w_ee"]),
         )
         if "expected_initial_pose" in doc:
-            pose = _parse_pose(doc["expected_initial_pose"])
+            pose = pose_from_doc(doc["expected_initial_pose"])
         else:
             pose = forward_kinematics(chain, spec.reference)
         if "expected_initial_loss" in doc:

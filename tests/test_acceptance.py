@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlspsa_ik import optimizer
+from nlspsa_ik import baseline, optimizer
 from nlspsa_ik.baseline import PsoParams, pso_solve
 from nlspsa_ik.kinematics import ChainModel, forward_kinematics
 from nlspsa_ik.objective import LossEvaluator
@@ -142,14 +142,12 @@ def test_criterion_5_singularity_robustness(sweeps):
 def test_criterion_6_beats_pso_budget_matched(sweeps):
     details = []
     ok = True
+    assert baseline.POPULATION == PSO_POPULATION
+    assert baseline.INIT_SPREAD == PSO_INIT_SPREAD
+    params = PsoParams(eval_budget=PSO_BUDGET)
     for sid in COMPARE_IDS:
         s = builtin(sid)
         nlspsa_median = float(np.median([r.final_loss for r in sweeps[sid]]))
-        params = PsoParams(
-            population=PSO_POPULATION,
-            eval_budget=PSO_BUDGET,
-            init_spread=PSO_INIT_SPREAD,
-        )
         pso_finals = [
             pso_solve(s.spec, s.chain, params, seed).final_loss for seed in SEEDS
         ]

@@ -27,22 +27,14 @@ def sphere_spec(n=2, center=(10.0, 20.0)):
 
 
 class TestPsoParamsValidation:
-    def test_rejects_tiny_population(self):
-        with pytest.raises(ValueError):
-            PsoParams(population=1)
-
     def test_rejects_budget_below_population(self):
-        with pytest.raises(ValueError):
-            PsoParams(population=100, eval_budget=99)
-
-    def test_rejects_negative_init_spread(self):
-        with pytest.raises(ValueError):
-            PsoParams(init_spread=-1.0)
-
-    @pytest.mark.parametrize("spread", [math.nan, math.inf])
-    def test_rejects_non_finite_init_spread(self, spread):
-        with pytest.raises(ValueError, match=f"^init_spread must be finite, got {spread}$"):
-            PsoParams(init_spread=spread)
+        assert baseline.POPULATION == 100
+        with pytest.raises(
+            ValueError,
+            match=r"^eval_budget \(99\) must cover one evaluation pass of the "
+                  r"population \(100\)$",
+        ):
+            PsoParams(eval_budget=99)
 
 
 class TestPsoSolve:
@@ -55,30 +47,28 @@ class TestPsoSolve:
         chain = ChainModel.unit_links(2)
         finals = []
         for seed in range(20):
-            params = PsoParams(population=20, eval_budget=10000)
+            params = PsoParams(eval_budget=10000)
             finals.append(pso_solve(spec, chain, params, seed).final_loss)
         assert np.median(finals) <= 1e-6
 
     def test_budget_equal_population_returns_best_initial_particle(self):
         spec = sphere_spec()
         chain = ChainModel.unit_links(2)
-        params = PsoParams(population=30, eval_budget=30)
+        params = PsoParams(eval_budget=100)
         rec = pso_solve(spec, chain, params, 5)
         # recompute the initial sample independently
         rng = np.random.default_rng(5)
-        positions = spec.reference + rng.uniform(-20.0, 20.0, size=(30, 2))
+        positions = spec.reference + rng.uniform(-20.0, 20.0, size=(100, 2))
         losses = LossEvaluator(spec, chain).evaluate_many(positions)
         assert rec.final_loss == losses.min()
-        assert rec.evaluations == 30
+        assert rec.evaluations == 100
         assert rec.iterations == 0
 
     def test_budget_is_consumed_exactly_with_truncation(self):
         spec = sphere_spec()
         chain = ChainModel.unit_links(2)
         evaluator_budget = 457  # 100 + 3*100 + 57: truncated last generation
-        rec = pso_solve(
-            spec, chain, PsoParams(population=100, eval_budget=evaluator_budget), 0
-        )
+        rec = pso_solve(spec, chain, PsoParams(eval_budget=evaluator_budget), 0)
         assert rec.evaluations == 457
         assert rec.iterations == 4
 
@@ -86,7 +76,7 @@ class TestPsoSolve:
         scenario = builtin("1.1")
         rec = pso_solve(
             scenario.spec, scenario.chain,
-            PsoParams(population=25, eval_budget=2000), 3,
+            PsoParams(eval_budget=2000), 3,
         )
         assert np.all(np.diff(rec.loss_trace) <= 0.0)
         assert rec.final_loss == rec.loss_trace[-1]
@@ -95,7 +85,7 @@ class TestPsoSolve:
 
     def test_deterministic_per_seed(self):
         scenario = builtin("1.1")
-        params = PsoParams(population=20, eval_budget=1000)
+        params = PsoParams(eval_budget=1000)
         a = pso_solve(scenario.spec, scenario.chain, params, 9)
         b = pso_solve(scenario.spec, scenario.chain, params, 9)
         assert np.array_equal(a.final_iterate, b.final_iterate)
@@ -105,7 +95,7 @@ class TestPsoSolve:
         scenario = builtin("2.1")
         rec = pso_solve(
             scenario.spec, scenario.chain,
-            PsoParams(population=50, eval_budget=5000), 1,
+            PsoParams(eval_budget=5000), 1,
         )
         from nlspsa_ik.kinematics import forward_kinematics
 
@@ -127,7 +117,7 @@ class TestPsoSolve:
             return values
 
         monkeypatch.setattr(LossEvaluator, "evaluate_many", injecting)
-        params = PsoParams(population=10, eval_budget=100)
+        params = PsoParams(eval_budget=500)
         with pytest.raises(SolverFault) as excinfo:
             pso_solve(sphere_spec(), ChainModel.unit_links(2), params, 2)
         assert excinfo.value.iteration == generation
@@ -142,9 +132,9 @@ def frozen_pso_generations(spec, chain, params, seed):
     global bests and the number of evaluations."""
     evaluator = LossEvaluator(spec, chain)
     rng = np.random.default_rng(seed)
-    pop = params.population
+    pop = baseline.POPULATION
     n = chain.n
-    spread = params.init_spread
+    spread = baseline.INIT_SPREAD
 
     positions = spec.reference + rng.uniform(-spread, spread, size=(pop, n))
     velocities = np.zeros((pop, n))
@@ -167,8 +157,7 @@ def frozen_pso_generations(spec, chain, params, seed):
                 + baseline.COGNITIVE * r_cog * (pbest_pos - positions)
                 + baseline.SOCIAL * r_soc * (gbest_pos - positions)
             )
-            if spread > 0:
-                np.clip(velocities, -spread, spread, out=velocities)
+            np.clip(velocities, -spread, spread, out=velocities)
             positions = positions + velocities
             losses = evaluator.evaluate_many(positions[:m])
             evals += m
@@ -186,9 +175,8 @@ def frozen_pso_generations(spec, chain, params, seed):
 PSO_SETTINGS = {
     "default": {},
     "truncated last generation": {"eval_budget": 1050},
-    "no initial spread": {"init_spread": 0.0},
-    # 500 generations, the last of them a one-row loss call
-    "population 7": {"population": 7, "eval_budget": 7 * 500 + 1},
+    # 10 generations, the last of them a one-row loss call
+    "one-row last generation": {"eval_budget": 1001},
 }
 
 

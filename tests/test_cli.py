@@ -425,7 +425,7 @@ class TestCompareCommand:
     def test_emits_csv_and_winner(self, tmp_path, capsys):
         code = run_cli(
             "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "1500",
-            "--population", "30", "--out", tmp_path,
+            "--out", tmp_path,
         )
         assert code == 0
         cols = read_compare_csv(tmp_path / "compare_1.1.csv")
@@ -445,7 +445,7 @@ class TestCompareCommand:
             warnings.simplefilter("error")
             code = run_cli(
                 "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "100",
-                "--population", "30", "--out", tmp_path,
+                "--out", tmp_path,
             )
         assert code == 0
         assert "no winner" in capsys.readouterr().out
@@ -456,19 +456,20 @@ class TestCompareCommand:
         assert doc["pso_median"] is not None
 
     def test_all_pso_seeds_faulted_means_no_winner(self, tmp_path, capsys, monkeypatch):
-        # A NaN in every PSO population (30 rows; NLSPSA measures 2 rows).
+        # A NaN in every PSO population (100 rows; NLSPSA measures 2 rows
+        # and traces at most 4).
         evaluate_many = LossEvaluator.evaluate_many
 
         def nan_for_pso(self, configs, out=None):
             values = evaluate_many(self, configs, out=out)
-            if len(configs) == 30:
+            if len(configs) == 100:
                 values[0] = np.nan
             return values
 
         monkeypatch.setattr(LossEvaluator, "evaluate_many", nan_for_pso)
         code = run_cli(
             "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "100",
-            "--population", "30", "--out", tmp_path,
+            "--out", tmp_path,
         )
         assert code == 0
         assert "no winner" in capsys.readouterr().out
@@ -501,7 +502,7 @@ class TestCompareCommand:
         monkeypatch.setattr(cli, "pso_solve", half_faulting_pso_solve)
         code = run_cli(
             "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "100",
-            "--population", "30", "--out", tmp_path,
+            "--out", tmp_path,
         )
         assert code == 0
         assert pso_seeds == [0, 1]
@@ -533,7 +534,7 @@ class TestCompareCommand:
         monkeypatch.setattr(cli, "pso_solve", recording_pso_solve)
         code = run_cli(
             "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "101",
-            "--population", "30", "--out", tmp_path,
+            "--out", tmp_path,
         )
         assert code == 0
         assert calls == [("nlspsa", 101, 101), ("pso", 202), ("pso", 202)]
@@ -543,36 +544,34 @@ class TestCompareCommand:
     def test_bad_pso_settings_fail_before_any_seed_is_solved(
         self, tmp_path, capsys, monkeypatch
     ):
-        # the population is above the 2 * n-max budget
+        # the 2 * n-max budget is below the swarm of 100
         solved = []
         monkeypatch.setattr(cli, "solve_many", lambda *args: solved.append(args) or [])
         code = run_cli(
-            "compare", "--scenario", "2.1", "--n-max", "5000", "--population", "20000",
-            "--seeds", "20", "--out", tmp_path,
+            "compare", "--scenario", "2.1", "--n-max", "40", "--seeds", "2",
+            "--out", tmp_path,
         )
         assert code == 2
         assert solved == []
-        assert "eval_budget (10000) must cover" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("spread", ["nan", "inf"])
-    def test_non_finite_init_spread_fails_before_any_seed_is_solved(
-        self, spread, tmp_path, capsys, monkeypatch
-    ):
-        solved = []
-        monkeypatch.setattr(cli, "solve_many", lambda *args: solved.append(args) or [])
-        code = run_cli(
-            "compare", "--scenario", "2.1", "--init-spread", spread, "--seeds", "2",
-            "--n-max", "200", "--out", tmp_path,
+        assert capsys.readouterr().err == (
+            "error: eval_budget (80) must cover one evaluation pass of the "
+            "population (100)\n"
         )
-        assert code == 2
-        assert solved == []
-        assert capsys.readouterr().err == f"error: init_spread must be finite, got {spread}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "option", [["--population", "30"], ["--init-spread", "5"]], ids=lambda o: o[0]
+    )
+    def test_swarm_is_not_an_option(self, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("compare", "--scenario", "1.1", *option, "--out", tmp_path)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     def test_budget_equal_population_still_valid(self, tmp_path):
         code = run_cli(
-            "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "15",
-            "--population", "30", "--out", tmp_path,
+            "compare", "--scenario", "1.1", "--seeds", "2", "--n-max", "50",
+            "--out", tmp_path,
         )
         assert code == 0
         cols = read_compare_csv(tmp_path / "compare_1.1.csv")
@@ -639,6 +638,38 @@ class TestPlotCommand:
         assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
         err = capsys.readouterr().err
         assert "i/o error" in err and f"{trace}, {message}" in err
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_trace_loss_exit_code(self, tmp_path, capsys, cell):
+        result = self._make_run(tmp_path)
+        trace = tmp_path / "run_1.7_seed1.csv"
+        lines = trace.read_text().splitlines()
+        lines[2] = f"1,{cell}"
+        trace.write_text("\n".join(lines) + "\n")
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {trace}, line 3: non-finite loss {cell}\n"
+        )
+        assert list(tmp_path.glob("*.svg")) == []
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("x", float("nan"), "Pose.x must be finite, got nan"),
+            ("theta_deg", 400.0, "Pose.theta_deg must lie in [0, 360), got 400.0"),
+        ],
+        ids=["nan x", "theta 400"],
+    )
+    def test_invalid_target_exit_code(self, tmp_path, capsys, key, value, message):
+        result = self._make_run(tmp_path)
+        doc = json.loads(result.read_text())
+        doc["target"][key] = value
+        result.write_text(json.dumps(doc))
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {result}: malformed run artifact: ")
+        assert message in err
+        assert list(tmp_path.glob("*.svg")) == []
 
     def test_empty_trace_exit_code(self, tmp_path, capsys):
         result = self._make_run(tmp_path)
