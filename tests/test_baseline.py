@@ -175,6 +175,8 @@ def frozen_pso_generations(spec, chain, params, seed):
 PSO_SETTINGS = {
     "default": {},
     "truncated last generation": {"eval_budget": 1050},
+    # the initial evaluation pass alone: no generation runs
+    "initial population only": {"eval_budget": baseline.POPULATION},
     # 10 generations, the last of them a one-row loss call
     "one-row last generation": {"eval_budget": 1001},
 }
