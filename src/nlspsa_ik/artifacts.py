@@ -55,13 +55,13 @@ def _write_csv(path, header: list[str], columns) -> None:
 
 
 def _read_csv(
-    path, expected_prefix: list[str]
+    path, expected_prefix: list[str], *, finite: bool = False
 ) -> tuple[list[str], list[int], np.ndarray]:
     """The header, the int first column and the float cells of the other
     columns (one row each) of an artifact CSV, as every writer here lays it
-    out. A row of the wrong width or a cell that does not parse is an
-    :class:`ArtifactError` naming its line; text that is not UTF-8 is one
-    naming the file."""
+    out. A row of the wrong width or a cell that does not parse, or with
+    ``finite`` a non-finite cell, is an :class:`ArtifactError` naming its
+    line; text that is not UTF-8 is one naming the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -83,6 +83,10 @@ def _read_csv(
                     cells.append([float(v) for v in row[1:]])
                 except ValueError as exc:
                     raise ArtifactError(f"{where}: {exc}") from None
+                if finite:
+                    for name, value in zip(header[1:], cells[-1]):
+                        if not math.isfinite(value):
+                            raise ArtifactError(f"{where}: non-finite {name} {value}")
     except UnicodeDecodeError as exc:
         raise ArtifactError(f"{path}: not UTF-8 text: {exc}") from None
     return header, first, np.array(cells).reshape(len(cells), len(header) - 1)
@@ -98,14 +102,8 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """The iterations and losses of a trace CSV. A run writes a trace only
     when all its values are finite, so a non-finite loss is an
     :class:`ArtifactError` naming its line."""
-    _, iterations, cells = _read_csv(path, ["iteration", "loss"])
-    losses = cells[:, 0]
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if bad.size:
-        row = bad[0]
-        # the header is line 1 and each row one line after it
-        raise ArtifactError(f"{path}, line {row + 2}: non-finite loss {losses[row]}")
-    return np.array(iterations, dtype=int), losses
+    _, iterations, cells = _read_csv(path, ["iteration", "loss"], finite=True)
+    return np.array(iterations, dtype=int), cells[:, 0]
 
 
 @dataclass(eq=False)
@@ -202,10 +200,10 @@ class SweepReport:
             per_seed.append(
                 {
                     "seed": seed,
-                    "final_loss": _none_if_nan(self.final_losses[i]),
-                    "pos_err": _none_if_nan(self.pos_errors[i]),
-                    "theta_err": _none_if_nan(self.theta_errors[i]),
-                    "wall_ms": _none_if_nan(self.wall_ms[i]),
+                    "final_loss": _none_if_not_finite(self.final_losses[i]),
+                    "pos_err": _none_if_not_finite(self.pos_errors[i]),
+                    "theta_err": _none_if_not_finite(self.theta_errors[i]),
+                    "wall_ms": _none_if_not_finite(self.wall_ms[i]),
                     "dq": None
                     if self.faults[i] is not None
                     else [float(v) for v in self.displacements[i]],
@@ -219,8 +217,9 @@ class SweepReport:
         }
 
 
-def _none_if_nan(v: float):
-    return None if math.isnan(v) else float(v)
+def _none_if_not_finite(v: float):
+    """``v``, or None (JSON null) for NaN and +-inf, which JSON cannot hold."""
+    return float(v) if math.isfinite(v) else None
 
 
 def sweep_csv_header(n_joints: int) -> list[str]:
@@ -300,12 +299,11 @@ def run_result_doc(
     Python versions and the machine type it ran with."""
     from . import __version__
 
-    params_doc = asdict(params)
-    del params_doc["variant"]  # a top-level key
+    # an unlimited d (plain SPSA) is null
+    params_doc = {**asdict(params), "d": _none_if_not_finite(params.d)}
     return {
         "scenario_id": scenario_id,
         "seed": record.seed,
-        "variant": params.variant,
         "link_lengths": list(chain.link_lengths),
         "joint_limits": _limits_doc(chain),
         "q0_deg": [float(v) for v in spec.reference],

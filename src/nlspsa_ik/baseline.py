@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SolverFault
 from .kinematics import ChainModel, forward_kinematics
 from .objective import LossEvaluator, ObjectiveSpec
-from .optimizer import RunRecord
+from .optimizer import RunRecord, require_count
 
 
 # The velocity update's constriction coefficients (Clerc and Kennedy 2002):
@@ -34,14 +34,14 @@ INIT_SPREAD = 20.0
 @dataclass(frozen=True)
 class PsoParams:
     """The loss-evaluation budget of every seed of a comparison (the seed is
-    an argument of ``pso_solve``). It must cover the initial evaluation of
-    the ``POPULATION`` particles.
+    an argument of ``pso_solve``). It is an integer and must cover the
+    initial evaluation of the ``POPULATION`` particles.
     """
 
     eval_budget: int = 50000
 
     def __post_init__(self):
-        if self.eval_budget < POPULATION:
+        if require_count(self, "eval_budget") < POPULATION:
             raise ValueError(
                 f"eval_budget ({self.eval_budget}) must cover one evaluation "
                 f"pass of the population ({POPULATION})"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import (
     SweepReport,
-    _none_if_nan,
+    _none_if_not_finite,
     chain_from_doc,
     pose_from_doc,
     read_run_result,
@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
     write_json(out / f"{stem}.json", doc)
     pose = record.final_pose
     print(
-        f"run {scenario.id} seed {args.seed} [{params.variant}]: "
+        f"run {scenario.id} seed {args.seed} [nlspsa]: "
         f"initial loss {record.initial_loss:.4f}, "
         f"final loss {record.final_loss:.4e}, "
         f"pose ({pose.x:.4f}, {pose.y:.4f}, {pose.theta_deg:.4f} deg), "
@@ -213,7 +213,7 @@ def cmd_compare(args) -> int:
     if np.isnan(nl_median) or np.isnan(pso_median):
         winner = None
     else:
-        winner = params.variant if nl_median < pso_median else "pso"
+        winner = "nlspsa" if nl_median < pso_median else "pso"
     write_json(
         out / f"{stem}.json",
         {
@@ -222,16 +222,16 @@ def cmd_compare(args) -> int:
             "population": POPULATION,
             "init_spread": INIT_SPREAD,
             "seeds": seeds,
-            "nlspsa_losses": [_none_if_nan(v) for v in nl.final_losses],
-            "pso_losses": [_none_if_nan(v) for v in pso.final_losses],
-            "nlspsa_median": _none_if_nan(nl_median),
-            "pso_median": _none_if_nan(pso_median),
+            "nlspsa_losses": [_none_if_not_finite(v) for v in nl.final_losses],
+            "pso_losses": [_none_if_not_finite(v) for v in pso.final_losses],
+            "nlspsa_median": _none_if_not_finite(nl_median),
+            "pso_median": _none_if_not_finite(pso_median),
             "winner": winner,
         },
     )
     print(
         f"compare {scenario.id} over {len(seeds)} seeds, budget {budget}: "
-        f"{params.variant} median {nl_median:.4e} vs pso median {pso_median:.4e} "
+        f"nlspsa median {nl_median:.4e} vs pso median {pso_median:.4e} "
         f"-> {f'{winner} wins' if winner else 'no winner'}"
     )
     print(f"wrote {out / f'{stem}.csv'} and {out / f'{stem}.json'}")
@@ -285,9 +285,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     solver.add_argument("--alpha", type=float, default=None, help="step-size decay exponent")
     solver.add_argument("--gamma", type=float, default=None, help="perturbation decay exponent")
     solver.add_argument("--d", type=float, default=None,
-                        help="per-joint update saturation bound, degrees")
-    solver.add_argument("--variant", choices=("nlspsa", "spsa"), default=None,
-                        help="update rule (default: nlspsa)")
+                        help="per-joint update saturation bound, degrees; "
+                             "inf: no limit (plain SPSA)")
     solver.add_argument("--trace-every", type=int, default=None, dest="trace_every",
                         help="record the loss every m iterations (default: 1 for run, "
                              "n-max for sweep/compare)")

@@ -2,10 +2,10 @@
 
 The update rule follows stochastic approximation with a simultaneous
 perturbation gradient estimate: two loss measurements per iteration at
-symmetric random perturbations, regardless of problem dimension. The
-"nlspsa" variant saturates every component of the update vector at a bound
-``d``, which keeps single-iteration joint motion small and stabilizes the
-iteration; the "spsa" variant applies the raw update.
+symmetric random perturbations, regardless of problem dimension. Every
+component of the update vector saturates at a bound ``d``, which keeps
+single-iteration joint motion small and stabilizes the iteration; ``d = inf``
+applies the raw update, which is plain SPSA (Spall 1992).
 """
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ import numpy as np
 from .errors import SolverFault
 from .kinematics import ChainModel, Pose, forward_kinematics
 from .objective import LossEvaluator, ObjectiveSpec
-
-VARIANTS = ("nlspsa", "spsa")
 
 # Perturbation vectors are drawn per seed in blocks of iterations; block
 # draws consume the PRNG stream exactly like per-iteration draws, so the
@@ -50,9 +48,9 @@ class SolverParams:
 
     Step size decays as a/(A+k)^alpha and the perturbation size as c/k^gamma
     with the iteration index k starting at 1. ``d`` bounds each component of
-    an update (degrees per joint per iteration) in the "nlspsa" variant.
-    All six are finite. Every run that does not fault takes exactly
-    ``n_max`` iterations.
+    an update (degrees per joint per iteration); ``d = inf`` is plain SPSA.
+    The gains are finite and the counts integers. Every run that does not
+    fault takes exactly ``n_max`` iterations.
     """
 
     a: float = 3000.0
@@ -62,11 +60,10 @@ class SolverParams:
     gamma: float = 0.101
     d: float = 0.03
     n_max: int = 25000
-    variant: str = "nlspsa"
     trace_every: int = 1
 
     def __post_init__(self):
-        for name in ("a", "A", "c", "alpha", "gamma", "d"):
+        for name in ("a", "A", "c", "alpha", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("a", "c", "alpha", "gamma", "d"):
@@ -74,12 +71,18 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.A < 0:
             raise ValueError(f"A must be nonnegative, got {self.A}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.trace_every < 1:
-            raise ValueError(f"trace_every must be at least 1, got {self.trace_every}")
+        for name in ("n_max", "trace_every"):
+            if require_count(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
+
+def require_count(params, name: str) -> int:
+    """The integer field ``name`` of the frozen ``params``, stored back as an int."""
+    value = getattr(params, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(params, name, int(value))
+    return int(value)
 
 
 @dataclass(eq=False)
@@ -131,8 +134,9 @@ def _estimate(plus, minus, c_k):
 
 
 def saturate(x: np.ndarray, d: float) -> np.ndarray:
-    """Componentwise clamp to [-d, d]; NaN stays NaN and -0.0 stays -0.0."""
-    if d <= 0:
+    """Componentwise clamp to [-d, d]; NaN stays NaN and -0.0 stays -0.0, so
+    ``d = inf`` returns ``x`` bit for bit."""
+    if not d > 0:
         raise ValueError(f"saturation bound must be positive, got {d}")
     return np.minimum(np.maximum(x, -d), d)
 
@@ -191,7 +195,7 @@ def solve_many(
     n = chain.n
     n_seeds = len(seeds)
     n_iter = params.n_max
-    d = params.d if params.variant == "nlspsa" else None
+    d = params.d
     limits = chain.joint_limits
     if limits is not None:
         q_lo = np.asarray(limits[0])
@@ -308,9 +312,7 @@ def solve_many(
                 # delta is +-1, so a_k times the gradient estimate (J+ - J-) /
                 # (2 c_k delta) is +-factor in every component, and saturating
                 # the factor saturates each component of the update.
-                factor = a_block[j] * _estimate(plus_rows[j], minus_rows[j], c_k)
-                if d is not None:
-                    factor = saturate(factor, d)
+                factor = saturate(a_block[j] * _estimate(plus_rows[j], minus_rows[j], c_k), d)
                 np.subtract(phi, factor[:, None] * new_phi, out=new_phi)
                 if limits is not None:
                     np.clip(new_phi, q_lo, q_hi, out=new_phi)

@@ -139,11 +139,11 @@ def gain_schedules(params: SolverParams, ks) -> tuple[np.ndarray, np.ndarray]:
 def reference_solve_many(spec: ObjectiveSpec, chain: ChainModel, params: SolverParams, seeds):
     """``solve_many`` as a loop over seeds and iterations: each seed runs
     alone, and each iteration makes one :func:`spsa_gradient` over one-row
-    ``LossEvaluator`` calls (plus, then minus), applies ``saturate`` in the
-    nlspsa variant and the joint limits, and checks the measurements, the
-    new iterate and the traced loss, in the engine's order. A faulted seed's
-    slot holds a ``SolverFault`` with the engine's message and iteration;
-    ``elapsed`` is 0."""
+    ``LossEvaluator`` calls (plus, then minus), applies ``saturate`` and the
+    joint limits, and checks the measurements, the new iterate and the
+    traced loss, in the engine's order. A faulted seed's slot holds a
+    ``SolverFault`` with the engine's message and iteration; ``elapsed`` is
+    0."""
     return [_reference_run(spec, chain, params, int(seed)) for seed in seeds]
 
 
@@ -167,9 +167,7 @@ def _reference_run(spec, chain, params, seed):
                 update = a_k * spsa_gradient(loss, phi, c_k, delta)
             except SolverFault:
                 return fault("loss", k)
-            if params.variant == "nlspsa":
-                update = saturate(update, params.d)
-            new_phi = phi - update
+            new_phi = phi - saturate(update, params.d)
             if chain.joint_limits is not None:
                 new_phi = np.clip(new_phi, *chain.joint_limits)
             if not np.isfinite(new_phi).all():

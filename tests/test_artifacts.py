@@ -73,6 +73,15 @@ class TestTraceCsv:
         with pytest.raises(ArtifactError):
             read_trace_csv(path)
 
+    def test_non_finite_loss_is_named_by_its_physical_line(self, tmp_path):
+        # A quoted cell may span lines, and float() reads "\n1.0" as 1.0, so
+        # the second row ends on line 3 and the inf stands on line 4.
+        path = tmp_path / "trace.csv"
+        path.write_text('iteration,loss\n0,"\n1.0"\n1,inf\n')
+        message = f"^{re.escape(str(path))}, line 4: non-finite loss inf$"
+        with pytest.raises(ArtifactError, match=message):
+            read_trace_csv(path)
+
 
 def build_report(scenario, outcomes, seeds):
     return SweepReport.from_outcomes(scenario.id, scenario.spec, seeds, outcomes)
@@ -215,8 +224,7 @@ class TestRunResult:
         assert loaded["params"]["n_max"] == 40
 
     def test_params_keys_in_order(self, short_run):
-        # every SolverParams field but variant (a top-level key), then the
-        # loss weights
+        # every SolverParams field, then the loss weights
         s, rec = short_run
         doc = run_result_doc(s.id, s.spec, s.chain, SolverParams(n_max=40), rec, "t.csv")
         assert list(doc["params"]) == [

@@ -36,6 +36,15 @@ class TestPsoParamsValidation:
         ):
             PsoParams(eval_budget=99)
 
+    @pytest.mark.parametrize("budget", [150.5, 1000.0, True])
+    def test_rejects_a_budget_that_is_not_an_integer(self, budget):
+        with pytest.raises(ValueError, match=f"^eval_budget must be an integer, got {budget!r}$"):
+            PsoParams(eval_budget=budget)
+
+    def test_accepts_a_numpy_budget_as_an_int(self):
+        params = PsoParams(eval_budget=np.int64(500))
+        assert params.eval_budget == 500 and type(params.eval_budget) is int
+
 
 class TestPsoSolve:
     def test_rejects_negative_seed(self):

@@ -104,7 +104,7 @@ class TestRunCommand:
 
     def test_solver_fault_exit_code(self, tmp_path, capsys):
         code = run_cli(
-            "run", "--scenario", "1.1", "--variant", "spsa", "--a", "1e200",
+            "run", "--scenario", "1.1", "--d", "inf", "--a", "1e200",
             "--n-max", "60", "--out", tmp_path,
         )
         assert code == 5
@@ -220,18 +220,75 @@ def test_nan_joint_limit_in_a_scenario_file_is_a_scenario_error(tmp_path, capsys
     assert err.startswith("scenario error: ") and "NaN" in err
 
 
-# the loss weights and the real solver settings
+# the loss weights and the real solver settings; the bound d may be inf
 @pytest.mark.parametrize(
-    "option", ["--w-jmc", "--w-ee", "--a", "--A", "--c", "--alpha", "--gamma", "--d"]
+    "value, option",
+    [
+        (value, option)
+        for value in ("nan", "inf")
+        for option in ("--w-jmc", "--w-ee", "--a", "--A", "--c", "--alpha", "--gamma", "--d")
+        if (value, option) != ("inf", "--d")
+    ],
 )
-@pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_weight_is_a_usage_error(option, value, tmp_path, capsys):
     code = run_cli("run", "--scenario", "1.1", option, value, "--out", tmp_path)
     assert code == 2
     err = capsys.readouterr().err
     name = option[2:].replace("-", "_")
-    assert err.startswith(f"error: {name} must be finite") and f"got {value}" in err
+    must = "positive" if name == "d" else "finite"
+    assert err.startswith(f"error: {name} must be {must}") and f"got {value}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_infinite_bound_is_a_usage_error(tmp_path, capsys):
+    code = run_cli("run", "--scenario", "1.1", "--d=-inf", "--out", tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "error: d must be positive, got -inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_variant_is_not_an_option(command, tmp_path, capsys):
+    # plain SPSA is --d inf
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(command, "--scenario", "1.1", "--variant", "spsa", "--out", tmp_path)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --variant spsa" in capsys.readouterr().err
+
+
+def test_unlimited_bound_runs_plain_spsa(tmp_path, capsys):
+    assert run_cli("run", "--scenario", "1.1", "--d", "inf", "--n-max", "200",
+                   "--out", tmp_path) == 0
+    assert capsys.readouterr().out.startswith("run 1.1 seed 0 [nlspsa]: ")
+    doc = json.loads((tmp_path / "run_1.1_seed0.json").read_text())
+    scenario = builtin("1.1")
+    record = solve(scenario.spec, scenario.chain, SolverParams(d=float("inf"), n_max=200))
+    assert doc["final_q_deg"] == record.final_iterate.tolist()
+    # the default bound would have clipped the largest step
+    assert doc["max_step_inf"] == record.max_step_inf > SolverParams().d
+
+
+def strict_json(path):
+    """The document at ``path``, parsed as strict JSON: NaN and Infinity,
+    which the json module writes and reads by default, are errors."""
+    def reject(constant):
+        raise ValueError(f"{path}: non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_plain_spsa_artifacts_are_strict_json(tmp_path):
+    faulting = ("--scenario", "1.1", "--d", "inf", "--a", "1e200", "--n-max", "60")
+    assert run_cli("run", "--scenario", "1.1", "--d", "inf", "--n-max", "200",
+                   "--out", tmp_path) == 0
+    assert run_cli("sweep", *faulting, "--seeds", "3", "--out", tmp_path) == 0
+    assert run_cli("compare", *faulting, "--seeds", "2", "--out", tmp_path) == 0
+    run = strict_json(tmp_path / "run_1.1_seed0.json")
+    assert run["params"]["d"] is None and "variant" not in run
+    sweep = strict_json(tmp_path / "sweep_1.1.json")
+    assert sweep["stats"]["failed"] == 3
+    compare = strict_json(tmp_path / "compare_1.1.json")
+    assert compare["nlspsa_losses"] == [None, None] and compare["winner"] is None
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -377,7 +434,7 @@ class TestSweepCommand:
         for jobs in (2, 1):
             out = tmp_path / f"jobs{jobs}"
             code = run_cli(
-                "sweep", "--scenario", "1.1", "--variant", "spsa", "--a", "1e200",
+                "sweep", "--scenario", "1.1", "--d", "inf", "--a", "1e200",
                 "--n-max", "60", "--seeds", "4", "--jobs", jobs, "--out", out,
             )
             assert code == 0
@@ -413,7 +470,7 @@ class TestSweepCommand:
     def test_all_faulted_marked(self, tmp_path, capsys):
         code = run_cli(
             "sweep", "--scenario", "1.1", "--seeds", "2", "--n-max", "60",
-            "--variant", "spsa", "--a", "1e200", "--out", tmp_path,
+            "--d", "inf", "--a", "1e200", "--out", tmp_path,
         )
         assert code == 0  # sweep completes, marking failures
         doc = json.loads((tmp_path / "sweep_1.1.json").read_text())
@@ -816,9 +873,7 @@ def test_run_json_alone_reproduces_the_run(tmp_path):
         w_ee=p["w_ee"],
     )
     params = SolverParams(
-        variant=doc["variant"],
-        **{k: p[k] for k in ("a", "A", "c", "alpha", "gamma", "d", "n_max",
-                             "trace_every")},
+        **{k: p[k] for k in ("a", "A", "c", "alpha", "gamma", "d", "n_max", "trace_every")}
     )
     record = solve(spec, chain, params, doc["seed"])
     assert record.final_iterate.tolist() == doc["final_q_deg"]

@@ -9,6 +9,7 @@ measures in.
 """
 import collections
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -93,10 +94,11 @@ CASES = [
     # ... traced at points that do not divide a slice
     case("1.1-8seeds-every5", "1.1", range(8), n_max=1100, trace_every=5),
     case("1.1-seed5-every3", "1.1", [5], n_max=1200, trace_every=3),
+    # the default bound and no bound (plain SPSA)
     *(
-        case(f"{sid}-{variant}", sid, [7], n_max=1500, variant=variant)
+        case(f"{sid}-{name}", sid, [7], n_max=1500, d=d)
         for sid in ("1.1", "1.7", "2.1", "2.3")
-        for variant in ("nlspsa", "spsa")
+        for name, d in (("nlspsa", 0.03), ("unlimited", math.inf))
     ),
     *(case(f"{sid}-20seeds", sid, TWENTY, n_max=60, trace_every=7) for sid in builtin_ids()),
     # Long enough that most steps no longer saturate at d, so a rounding
@@ -109,8 +111,8 @@ CASES = [
     # 128-iteration blocks; n_max is a multiple of neither block length
     case("1.1-block128", "1.1", SEEDS, block_values=0, n_max=1100, trace_every=7),
     case("three-joint-block128", "three-joint", SEEDS, block_values=0, n_max=1000, trace_every=9),
-    case("three-joint-spsa", "three-joint", SEEDS, (0, 3), n_max=1000, trace_every=9,
-         variant="spsa"),
+    case("three-joint-unlimited", "three-joint", SEEDS, (0, 3), n_max=1000, trace_every=9,
+         d=math.inf),
     case("1.1-limits-5-95", "1.1-limits-5-95", [1], n_max=2000),
     case("1.1-limits", "1.1-limits", SEEDS, (0, 3), n_max=1100, trace_every=5),
     case("1.1-mixed-limits", "1.1-mixed-limits", SEEDS, (0, 3), n_max=1100, trace_every=7),
@@ -138,8 +140,7 @@ def test_batch_row_matches_oracle_and_solo_solve(
         if len(seeds) > 1:  # else the batch is the seed's solo run
             assert_same_outcome(solve(spec, chain, params, seed), row)
         assert row.final_pose == forward_kinematics(chain, row.final_iterate)
-        if params.variant == "nlspsa":
-            assert row.max_step_inf <= params.d * (1 + 1e-9)
+        assert row.max_step_inf <= params.d * (1 + 1e-9)
         if chain.joint_limits is not None:
             lo, hi = chain.joint_limits
             assert np.all(lo <= row.final_iterate) and np.all(row.final_iterate <= hi)
@@ -267,7 +268,7 @@ def test_non_finite_iterate_is_named_as_such(monkeypatch):
     # Finite but opposite extreme losses make an infinite unsaturated step.
     # The trace point at the same iteration then measures a NaN loss, which
     # the iterate check precedes.
-    params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, variant="spsa")
+    params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, d=math.inf)
     k = INJECT_AT
     plan = {(k, "plus", 2): 1e308, (k, "plus", 0): np.nan, (k, "minus", 2): -1e308}
     outcomes = run_injected(monkeypatch, params, plan)
@@ -279,7 +280,7 @@ def test_non_finite_iterate_is_named_as_such(monkeypatch):
 def test_large_mid_block_step_matches_oracle(monkeypatch):
     # Seed 1 takes by far its largest step at iteration 700, mid-block, and
     # runs on to n_max.
-    params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, variant="spsa", a=1e-3)
+    params = SolverParams(n_max=N_MAX, trace_every=INJECT_AT, d=math.inf, a=1e-3)
     got = run_injected(monkeypatch, params, {(INJECT_AT, "plus", 1): 1e3})
     assert got[1].iterations == N_MAX
     assert got[1].max_step_inf > 10 * max(got[s].max_step_inf for s in (0, 2, 3))

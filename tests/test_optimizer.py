@@ -45,18 +45,29 @@ class TestSolverParamsValidation:
         "kwargs",
         [
             {"a": 0.0}, {"c": -1.0}, {"alpha": 0.0}, {"gamma": 0.0}, {"d": 0.0},
-            {"A": -1.0}, {"n_max": 0}, {"variant": "adam"},
+            {"A": -1.0}, {"n_max": 0}, {"n_max": 100.0},
             {"trace_every": 0},
             *(
                 {name: value}
-                for name in ("a", "A", "c", "alpha", "gamma", "d")
+                for name in ("a", "A", "c", "alpha", "gamma")
                 for value in (math.nan, math.inf)
             ),
+            {"d": math.nan}, {"d": -math.inf},
+            {"trace_every": 2.0}, {"n_max": True}, {"trace_every": np.True_},
         ],
     )
     def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             SolverParams(**kwargs)
+
+    def test_accepts_numpy_counts_as_ints(self):
+        params = SolverParams(n_max=np.int64(50), trace_every=np.int32(7))
+        assert (params.n_max, params.trace_every) == (50, 7)
+        assert type(params.n_max) is int and type(params.trace_every) is int
+
+    def test_accepts_an_unlimited_bound(self):
+        assert SolverParams(d=math.inf).d == math.inf
 
 
 class TestSpsaGradient:
@@ -171,8 +182,20 @@ class TestSaturate:
         assert saturate(np.array([0.03]), 0.03) == pytest.approx([0.03])
 
     def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            saturate(np.ones(2), 0.0)
+        for d in (0.0, math.nan):
+            with pytest.raises(ValueError, match=f"^saturation bound must be positive, got {d}$"):
+                saturate(np.ones(2), d)
+
+    def test_unlimited_bound_returns_its_input_bit_for_bit(self):
+        x = np.concatenate(
+            [
+                [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.7976931348623157e308],
+                np.random.default_rng(3).normal(scale=1e3, size=100),
+            ]
+        )
+        x[10] = -math.nan  # a NaN with its sign bit set
+        s = saturate(x, math.inf)
+        assert s.tobytes() == x.tobytes()
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
@@ -271,15 +294,16 @@ class TestSolve:
         a_ks, c_ks = gain_schedules(DEFAULTS, np.arange(1, 200))
         assert np.all(np.diff(a_ks) < 0) and np.all(np.diff(c_ks) < 0)
 
-    @pytest.mark.parametrize("variant, saturations", [("nlspsa", 300), ("spsa", 0)])
-    def test_engine_runs_the_certified_helpers(self, monkeypatch, variant, saturations):
+    @pytest.mark.parametrize("d", [0.03, math.inf], ids=["nlspsa", "spsa"])
+    def test_engine_runs_the_certified_helpers(self, monkeypatch, d):
         # criterion 7 certifies the estimate spsa_gradient returns through
-        # and criterion 8 saturate; the engine must run both
+        # and criterion 8 saturate; the engine must run both, also with no
+        # bound
         calls = counting_helpers(monkeypatch)
         spec, chain = three_joint_problem()
-        rec = solve(spec, chain, SolverParams(n_max=300, variant=variant), 2)
+        rec = solve(spec, chain, SolverParams(n_max=300, d=d), 2)
         assert rec.iterations == 300
-        assert calls == {"saturate": saturations, "_estimate": 300}
+        assert calls == {"saturate": 300, "_estimate": 300}
 
     def test_spsa_gradient_returns_through_the_engine_estimate(self, monkeypatch):
         calls = counting_helpers(monkeypatch)
@@ -290,22 +314,22 @@ class TestSolve:
     def test_plain_spsa_matches_nlspsa_when_steps_are_small(self):
         spec, chain = three_joint_problem()
         small = dict(a=1e-4, n_max=400)
-        rec_sat = solve(spec, chain, SolverParams(variant="nlspsa", **small), 13)
-        rec_raw = solve(spec, chain, SolverParams(variant="spsa", **small), 13)
+        rec_sat = solve(spec, chain, SolverParams(**small), 13)
+        rec_raw = solve(spec, chain, SolverParams(d=math.inf, **small), 13)
         assert rec_sat.max_step_inf < DEFAULTS.d
         assert np.array_equal(rec_sat.final_iterate, rec_raw.final_iterate)
         assert np.array_equal(rec_sat.loss_trace, rec_raw.loss_trace)
 
     def test_divergent_plain_spsa_faults_with_iteration(self):
         spec, chain = three_joint_problem()
-        params = SolverParams(variant="spsa", a=1e200, n_max=60)
+        params = SolverParams(d=math.inf, a=1e200, n_max=60)
         with pytest.raises(SolverFault) as excinfo:
             solve(spec, chain, params, 0)
         assert excinfo.value.iteration >= 1
 
     def test_solve_many_collects_faults(self):
         spec, chain = three_joint_problem()
-        params = SolverParams(variant="spsa", a=1e200, n_max=60)
+        params = SolverParams(d=math.inf, a=1e200, n_max=60)
         outcomes = solve_many(spec, chain, params, [0, 1])
         assert all(isinstance(o, SolverFault) for o in outcomes)
 
