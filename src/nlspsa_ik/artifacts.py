@@ -1,5 +1,6 @@
 """Run, sweep, and comparison artifacts and scenario files: the one JSON
-reader and writer, the chain codec, the CSV writers and the trace reader.
+reader and writer, the problem codec they all share, the CSV writers and the
+trace reader.
 
 Floats are serialized with ``repr`` (shortest round-trip form), so re-parsing
 any file reproduces the in-memory values exactly and repeated writes of the
@@ -16,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .baseline import INIT_SPREAD, POPULATION, PsoParams
 from .errors import ArtifactError
 from .kinematics import ChainModel, Pose, pose_error
-from .objective import ObjectiveSpec
+from .objective import ObjectiveSpec, _is_diagonal
 from .optimizer import RunRecord, SolverParams
 
 
@@ -118,7 +120,6 @@ class SweepReport:
     wall time, faulted seeds included, or None when none was given.
     """
 
-    scenario_id: str
     seeds: list[int]
     final_losses: np.ndarray
     pos_errors: np.ndarray
@@ -130,8 +131,8 @@ class SweepReport:
 
     @classmethod
     def from_outcomes(
-        cls, scenario_id: str, spec: ObjectiveSpec, seeds, outcomes,
-        *, total_wall_ms: float | None = None,
+        cls, spec: ObjectiveSpec, seeds, outcomes, *,
+        total_wall_ms: float | None = None,
     ) -> "SweepReport":
         """Build from per-seed ``solve``/``pso_solve`` outcomes.
 
@@ -160,7 +161,6 @@ class SweepReport:
             displacements[i] = np.abs(rec.final_iterate - spec.reference)
             wall_ms[i] = rec.elapsed * 1e3
         return cls(
-            scenario_id=scenario_id,
             seeds=seeds,
             final_losses=final_losses,
             pos_errors=pos_errors,
@@ -210,11 +210,7 @@ class SweepReport:
                     "fault": self.faults[i],
                 }
             )
-        return {
-            "scenario_id": self.scenario_id,
-            "per_seed": per_seed,
-            "stats": self.stats(),
-        }
+        return {"per_seed": per_seed, "stats": self.stats()}
 
 
 def _none_if_not_finite(v: float):
@@ -266,50 +262,83 @@ def pose_from_doc(node) -> Pose:
     return Pose(float(node["x"]), float(node["y"]), float(node["theta_deg"]))
 
 
-def _limits_doc(chain: ChainModel) -> dict | None:
-    """``joint_limits`` as scenario and run documents store it, or None."""
-    if chain.joint_limits is None:
-        return None
-    q_min, q_max = chain.joint_limits
-    return {"q_min": list(q_min), "q_max": list(q_max)}
+def problem_doc(scenario_id: str, spec: ObjectiveSpec, chain: ChainModel) -> dict:
+    """The problem as a scenario file stores it, and as every run, sweep and
+    compare JSON starts with it: the id, the chain, the objective (a diagonal
+    ``r_ee`` or ``q_jmc`` as ``*_diag``) and ``joint_limits`` when set."""
+    doc: dict = {
+        "id": scenario_id,
+        "link_lengths": list(chain.link_lengths),
+        "q0_deg": [float(v) for v in spec.reference],
+        "target": _pose_doc(spec.target),
+        "w_jmc": spec.w_jmc,
+        "w_ee": spec.w_ee,
+    }
+    for key, matrix in (("r_ee", spec.r_ee), ("q_jmc", spec.q_jmc)):
+        if _is_diagonal(matrix):
+            doc[f"{key}_diag"] = [float(v) for v in np.diag(matrix)]
+        else:
+            doc[key] = [[float(v) for v in row] for row in matrix]
+    if chain.joint_limits is not None:
+        q_min, q_max = chain.joint_limits
+        doc["joint_limits"] = {"q_min": list(q_min), "q_max": list(q_max)}
+    return doc
 
 
-def chain_from_doc(doc: dict) -> ChainModel:
-    """The chain of a scenario or run document: ``link_lengths`` and
-    ``joint_limits`` (absent or null for none). A missing key raises
-    ``KeyError``, an ill-typed or invalid value ``TypeError`` or
-    ``ValueError``."""
+def _parse_matrix(doc: dict, key: str) -> np.ndarray:
+    """The row-major matrix ``doc[key]``, or the diagonal matrix of
+    ``doc[key + '_diag']``; :class:`ObjectiveSpec` checks its shape."""
+    if f"{key}_diag" not in doc:
+        return np.asarray(doc[key], dtype=float)
+    if key in doc:
+        raise ValueError(f"give either {key!r} or '{key}_diag', not both")
+    return np.diag(np.asarray(doc[f"{key}_diag"], dtype=float))
+
+
+def problem_from_doc(doc: dict) -> tuple[str, ObjectiveSpec, ChainModel]:
+    """The id, objective and chain that :func:`problem_doc` writes, where a
+    full matrix may stand for a diagonal one and a null ``joint_limits`` for
+    none. A missing key raises ``KeyError``, an ill-typed or invalid value
+    ``TypeError`` or ``ValueError``."""
+    scenario_id = str(doc["id"])
     limits = doc.get("joint_limits")
-    return ChainModel(
+    chain = ChainModel(
         doc["link_lengths"],
         joint_limits=None if limits is None else (limits["q_min"], limits["q_max"]),
     )
+    spec = ObjectiveSpec(
+        reference=doc["q0_deg"],
+        target=pose_from_doc(doc["target"]),
+        r_ee=_parse_matrix(doc, "r_ee"),
+        q_jmc=_parse_matrix(doc, "q_jmc"),
+        w_jmc=float(doc["w_jmc"]),
+        w_ee=float(doc["w_ee"]),
+    )
+    return scenario_id, spec, chain
 
 
-def run_result_doc(
-    scenario_id: str,
-    spec: ObjectiveSpec,
-    chain: ChainModel,
-    params: SolverParams,
-    record: RunRecord,
-    trace_csv: str,
-) -> dict:
-    """Self-contained description of one run, enough to re-plot and to
-    re-run it: chain, objective, solver settings, and the package, numpy and
-    Python versions and the machine type it ran with."""
+def settings_doc(params: SolverParams) -> dict:
+    """The solver settings of a run, sweep or compare JSON (an unlimited
+    ``d``, plain SPSA, as null), and the package, numpy and Python versions
+    and the machine type it ran with."""
     from . import __version__
 
-    # an unlimited d (plain SPSA) is null
-    params_doc = {**asdict(params), "d": _none_if_not_finite(params.d)}
     return {
-        "scenario_id": scenario_id,
+        "params": {**asdict(params), "d": _none_if_not_finite(params.d)},
+        "versions": {
+            "nlspsa_ik": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        },
+    }
+
+
+def run_result_doc(record: RunRecord, trace_csv: str) -> dict:
+    """The outcome of one run, which its JSON records after the problem and
+    the settings, and the name of its trace CSV."""
+    return {
         "seed": record.seed,
-        "link_lengths": list(chain.link_lengths),
-        "joint_limits": _limits_doc(chain),
-        "q0_deg": [float(v) for v in spec.reference],
-        "target": _pose_doc(spec.target),
-        "r_ee": spec.r_ee.tolist(),
-        "q_jmc": spec.q_jmc.tolist(),
         "final_q_deg": [float(v) for v in record.final_iterate],
         "final_pose": _pose_doc(record.final_pose),
         "initial_loss": record.initial_loss,
@@ -320,14 +349,34 @@ def run_result_doc(
         "iterations": record.iterations,
         "max_step_inf": record.max_step_inf,
         "elapsed_s": record.elapsed,
-        "params": {**params_doc, "w_jmc": spec.w_jmc, "w_ee": spec.w_ee},
         "trace_csv": trace_csv,
-        "versions": {
-            "nlspsa_ik": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
+    }
+
+
+def compare_doc(pso_params: PsoParams, nl: SweepReport, pso: SweepReport) -> dict:
+    """The outcome of a compare, which its JSON records after the problem and
+    the settings: PSO's budget and swarm, each solver's per-seed final loss
+    and median over its finished seeds, and the solver with the lower
+    median. A loss is null where a seed faulted, and a median and the winner
+    are null where no seed of a solver finished."""
+    nl_median, pso_median = (
+        _none_if_not_finite(r.stats().get("median_final_loss", np.nan))
+        for r in (nl, pso)
+    )
+    if nl_median is None or pso_median is None:
+        winner = None
+    else:
+        winner = "nlspsa" if nl_median < pso_median else "pso"
+    return {
+        "eval_budget": pso_params.eval_budget,
+        "population": POPULATION,
+        "init_spread": INIT_SPREAD,
+        "seeds": nl.seeds,
+        "nlspsa_losses": [_none_if_not_finite(v) for v in nl.final_losses],
+        "pso_losses": [_none_if_not_finite(v) for v in pso.final_losses],
+        "nlspsa_median": nl_median,
+        "pso_median": pso_median,
+        "winner": winner,
     }
 
 
@@ -349,15 +398,4 @@ def read_json_object(path, error: type[Exception]) -> dict:
         ) from None
     if not isinstance(doc, dict):
         raise error(f"{path}: top-level value is not a JSON object")
-    return doc
-
-
-def read_run_result(path) -> dict:
-    """Load a run result JSON written by the run command and check that it
-    has the fields ``plot`` reads."""
-    doc = read_json_object(path, ArtifactError)
-    required = ("link_lengths", "q0_deg", "target", "final_q_deg", "trace_csv")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ArtifactError(f"{path}: run artifact is missing fields {missing}")
     return doc

@@ -17,18 +17,19 @@ import numpy as np
 
 from .artifacts import (
     SweepReport,
-    _none_if_not_finite,
-    chain_from_doc,
-    pose_from_doc,
-    read_run_result,
+    compare_doc,
+    problem_doc,
+    problem_from_doc,
+    read_json_object,
     read_trace_csv,
     run_result_doc,
+    settings_doc,
     write_compare_csv,
     write_json,
     write_sweep_csv,
     write_trace_csv,
 )
-from .baseline import INIT_SPREAD, POPULATION, PsoParams, pso_solve
+from .baseline import PsoParams, pso_solve
 from .errors import ArtifactError, ScenarioError, ScenarioLookupError, SolverFault
 from .kinematics import joint_positions
 from .objective import ObjectiveSpec
@@ -94,6 +95,15 @@ def _outdir(args) -> Path:
     return out
 
 
+def _artifact_doc(
+    scenario: Scenario, spec: ObjectiveSpec, params: SolverParams, results: dict
+) -> dict:
+    """A run, sweep or compare JSON: the problem solved, as a scenario file
+    stores it, the solver settings, then ``results``."""
+    problem = problem_doc(scenario.id, spec, scenario.chain)
+    return {**problem, **settings_doc(params), **results}
+
+
 def _safe_name(s: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in s)
 
@@ -106,9 +116,7 @@ def cmd_run(args) -> int:
     out = _outdir(args)
     stem = f"run_{_safe_name(scenario.id)}_seed{args.seed}"
     write_trace_csv(out / f"{stem}.csv", record)
-    doc = run_result_doc(
-        scenario.id, spec, scenario.chain, params, record, f"{stem}.csv"
-    )
+    doc = _artifact_doc(scenario, spec, params, run_result_doc(record, f"{stem}.csv"))
     write_json(out / f"{stem}.json", doc)
     pose = record.final_pose
     print(
@@ -162,12 +170,13 @@ def cmd_sweep(args) -> int:
     outcomes = _sweep_outcomes(spec, scenario.chain, params, seeds, args.jobs)
     total_wall_ms = (time.perf_counter() - started) * 1e3
     report = SweepReport.from_outcomes(
-        scenario.id, spec, seeds, outcomes, total_wall_ms=total_wall_ms
+        spec, seeds, outcomes, total_wall_ms=total_wall_ms
     )
     out = _outdir(args)
     stem = f"sweep_{_safe_name(scenario.id)}"
     write_sweep_csv(out / f"{stem}.csv", report)
-    write_json(out / f"{stem}.json", report.to_doc())
+    doc = _artifact_doc(scenario, spec, params, report.to_doc())
+    write_json(out / f"{stem}.json", doc)
     stats = report.stats()
     if stats["completed"] == 0:
         print(f"sweep {scenario.id}: all {len(seeds)} seeds faulted")
@@ -200,35 +209,18 @@ def cmd_compare(args) -> int:
             pso_outcomes.append(pso_solve(spec, scenario.chain, pso_params, seed))
         except SolverFault as fault:
             pso_outcomes.append(fault)
-    # As in a sweep, a faulted seed's loss is NaN and the medians cover the
-    # finished seeds; a median is NaN when none finished, and then there is
-    # no winner.
-    nl = SweepReport.from_outcomes(scenario.id, spec, seeds, nl_outcomes)
-    pso = SweepReport.from_outcomes(scenario.id, spec, seeds, pso_outcomes)
-    nl_median = nl.stats().get("median_final_loss", np.nan)
-    pso_median = pso.stats().get("median_final_loss", np.nan)
+    # as in a sweep, a faulted seed's loss is NaN
+    nl = SweepReport.from_outcomes(spec, seeds, nl_outcomes)
+    pso = SweepReport.from_outcomes(spec, seeds, pso_outcomes)
     out = _outdir(args)
     stem = f"compare_{_safe_name(scenario.id)}"
     write_compare_csv(out / f"{stem}.csv", seeds, nl.final_losses, pso.final_losses)
-    if np.isnan(nl_median) or np.isnan(pso_median):
-        winner = None
-    else:
-        winner = "nlspsa" if nl_median < pso_median else "pso"
-    write_json(
-        out / f"{stem}.json",
-        {
-            "scenario_id": scenario.id,
-            "eval_budget": budget,
-            "population": POPULATION,
-            "init_spread": INIT_SPREAD,
-            "seeds": seeds,
-            "nlspsa_losses": [_none_if_not_finite(v) for v in nl.final_losses],
-            "pso_losses": [_none_if_not_finite(v) for v in pso.final_losses],
-            "nlspsa_median": _none_if_not_finite(nl_median),
-            "pso_median": _none_if_not_finite(pso_median),
-            "winner": winner,
-        },
+    doc = compare_doc(pso_params, nl, pso)
+    write_json(out / f"{stem}.json", _artifact_doc(scenario, spec, params, doc))
+    nl_median, pso_median = (
+        np.nan if doc[k] is None else doc[k] for k in ("nlspsa_median", "pso_median")
     )
+    winner = doc["winner"]
     print(
         f"compare {scenario.id} over {len(seeds)} seeds, budget {budget}: "
         f"nlspsa median {nl_median:.4e} vs pso median {pso_median:.4e} "
@@ -239,16 +231,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    doc = read_run_result(args.run)
     run_path = Path(args.run)
+    doc = read_json_object(run_path, ArtifactError)
     try:
+        scenario_id, spec, chain = problem_from_doc(doc)
+        seed = doc["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         trace_path = run_path.parent / doc["trace_csv"]
-        chain = chain_from_doc(doc)
-        target = pose_from_doc(doc["target"])
         posture = posture_svg(
-            joint_positions(chain, doc["q0_deg"]),
+            joint_positions(chain, spec.reference),
             joint_positions(chain, doc["final_q_deg"]),
-            (target.x, target.y),
+            (spec.target.x, spec.target.y),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{run_path}: malformed run artifact: {exc!r}") from None
@@ -256,7 +250,7 @@ def cmd_plot(args) -> int:
     if iterations.size == 0:
         raise ArtifactError(f"{trace_path}: empty loss trace")
     out = _outdir(args)
-    stem = f"{_safe_name(str(doc.get('scenario_id', 'run')))}_seed{doc.get('seed', 0)}"
+    stem = f"{_safe_name(scenario_id)}_seed{seed}"
     posture_path = out / f"posture_{stem}.svg"
     conv_path = out / f"convergence_{stem}.svg"
     posture_path.write_text(posture)

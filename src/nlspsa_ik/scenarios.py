@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import (
-    _limits_doc,
     _pose_doc,
-    chain_from_doc,
     pose_from_doc,
+    problem_doc,
+    problem_from_doc,
     read_json_object,
     write_json,
 )
 from .errors import ScenarioFormatError, ScenarioLookupError
 from .kinematics import DEG2RAD, ChainModel, Pose, forward_kinematics
-from .objective import LossEvaluator, ObjectiveSpec, _is_diagonal, default_r_ee
+from .objective import LossEvaluator, ObjectiveSpec, default_r_ee
 
 POSE_TOLERANCE = 1e-9
 LOSS_TOLERANCE = 5e-5  # 4-decimal rounding of the encoded values
@@ -162,38 +162,12 @@ def builtin(scenario_id: str) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as a JSON document (see :func:`load_scenario`)."""
-    spec = scenario.spec
-    doc: dict = {
-        "id": scenario.id,
-        "link_lengths": list(scenario.chain.link_lengths),
-        "q0_deg": [float(v) for v in spec.reference],
-        "target": _pose_doc(spec.target),
-        "w_jmc": spec.w_jmc,
-        "w_ee": spec.w_ee,
-    }
-    for key, matrix in (("r_ee", spec.r_ee), ("q_jmc", spec.q_jmc)):
-        if _is_diagonal(matrix):
-            doc[f"{key}_diag"] = [float(v) for v in np.diag(matrix)]
-        else:
-            doc[key] = [[float(v) for v in row] for row in matrix]
-    limits = _limits_doc(scenario.chain)
-    if limits is not None:
-        doc["joint_limits"] = limits
+    doc = problem_doc(scenario.id, scenario.spec, scenario.chain)
     doc["expected_initial_pose"] = _pose_doc(scenario.expected_initial_pose)
     doc["expected_initial_loss"] = scenario.expected_initial_loss
     if scenario.reported_final_loss is not None:
         doc["reported_final_loss"] = scenario.reported_final_loss
     write_json(path, doc)
-
-
-def _parse_matrix(doc: dict, key: str) -> np.ndarray:
-    """The row-major matrix ``doc[key]``, or the diagonal matrix of
-    ``doc[key + '_diag']``; :class:`ObjectiveSpec` checks its shape."""
-    if f"{key}_diag" not in doc:
-        return np.asarray(doc[key], dtype=float)
-    if key in doc:
-        raise ValueError(f"give either {key!r} or '{key}_diag', not both")
-    return np.diag(np.asarray(doc[f"{key}_diag"], dtype=float))
 
 
 def load_scenario(path) -> Scenario:
@@ -204,20 +178,12 @@ def load_scenario(path) -> Scenario:
     joint_limits {q_min, q_max}, expected_initial_pose,
     expected_initial_loss, reported_final_loss (the expectations are
     computed from the data when absent). Any problem is a
-    :class:`ScenarioFormatError` naming the file.
+    :class:`ScenarioFormatError` naming the file. A run, sweep or compare
+    JSON loads too, as the problem it solved: each starts with these fields.
     """
     doc = read_json_object(path, ScenarioFormatError)
     try:
-        scenario_id = str(doc["id"])
-        chain = chain_from_doc(doc)
-        spec = ObjectiveSpec(
-            reference=doc["q0_deg"],
-            target=pose_from_doc(doc["target"]),
-            r_ee=_parse_matrix(doc, "r_ee"),
-            q_jmc=_parse_matrix(doc, "q_jmc"),
-            w_jmc=float(doc["w_jmc"]),
-            w_ee=float(doc["w_ee"]),
-        )
+        scenario_id, spec, chain = problem_from_doc(doc)
         if "expected_initial_pose" in doc:
             pose = pose_from_doc(doc["expected_initial_pose"])
         else:

@@ -8,9 +8,12 @@ import pytest
 from nlspsa_ik.artifacts import (
     SweepReport,
     _median,
-    read_run_result,
+    problem_doc,
+    problem_from_doc,
+    read_json_object,
     read_trace_csv,
     run_result_doc,
+    settings_doc,
     sweep_csv_header,
     write_compare_csv,
     write_json,
@@ -84,7 +87,7 @@ class TestTraceCsv:
 
 
 def build_report(scenario, outcomes, seeds):
-    return SweepReport.from_outcomes(scenario.id, scenario.spec, seeds, outcomes)
+    return SweepReport.from_outcomes(scenario.spec, seeds, outcomes)
 
 
 class TestSweepReport:
@@ -118,12 +121,10 @@ class TestSweepReport:
         s, rec = short_run
         outcomes = [rec, SolverFault("x")]
         assert build_report(s, outcomes, [0, 1]).stats()["total_wall_ms"] is None
-        report = SweepReport.from_outcomes(
-            s.id, s.spec, [0, 1], outcomes, total_wall_ms=12.5
-        )
+        report = SweepReport.from_outcomes(s.spec, [0, 1], outcomes, total_wall_ms=12.5)
         assert report.to_doc()["stats"]["total_wall_ms"] == 12.5
         faulted = SweepReport.from_outcomes(
-            s.id, s.spec, [0], [SolverFault("x")], total_wall_ms=3.0
+            s.spec, [0], [SolverFault("x")], total_wall_ms=3.0
         )
         assert faulted.stats() == {"completed": 0, "failed": 1, "total_wall_ms": 3.0}
 
@@ -215,34 +216,36 @@ class TestRunResult:
     def test_doc_round_trip(self, short_run, tmp_path):
         s, rec = short_run
         params = SolverParams(n_max=40)
-        doc = run_result_doc(s.id, s.spec, s.chain, params, rec, "trace.csv")
+        doc = {
+            **problem_doc(s.id, s.spec, s.chain),
+            **settings_doc(params),
+            **run_result_doc(rec, "trace.csv"),
+        }
         path = tmp_path / "run.json"
         write_json(path, doc)
-        loaded = read_run_result(path)
+        loaded = read_json_object(path, ArtifactError)
+        scenario_id, spec, chain = problem_from_doc(loaded)
+        assert (scenario_id, chain) == (s.id, s.chain)
+        assert np.array_equal(spec.reference, s.spec.reference)
+        assert np.array_equal(spec.q_jmc, s.spec.q_jmc)
         assert loaded["final_q_deg"] == [float(v) for v in rec.final_iterate]
         assert loaded["final_loss"] == rec.final_loss
         assert loaded["params"]["n_max"] == 40
 
     def test_params_keys_in_order(self, short_run):
-        # every SolverParams field, then the loss weights
-        s, rec = short_run
-        doc = run_result_doc(s.id, s.spec, s.chain, SolverParams(n_max=40), rec, "t.csv")
-        assert list(doc["params"]) == [
+        # every SolverParams field; the loss weights belong to the problem
+        s, _ = short_run
+        assert list(settings_doc(SolverParams(n_max=40))["params"]) == [
             "a", "A", "c", "alpha", "gamma", "d", "n_max", "trace_every",
-            "w_jmc", "w_ee",
         ]
-
-    def test_missing_fields_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        write_json(path, {"scenario_id": "x"})
-        with pytest.raises(ArtifactError, match="missing"):
-            read_run_result(path)
+        problem = problem_doc(s.id, s.spec, s.chain)
+        assert (problem["w_jmc"], problem["w_ee"]) == (s.spec.w_jmc, s.spec.w_ee)
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{not json")
         with pytest.raises(ArtifactError, match="corrupt"):
-            read_run_result(path)
+            read_json_object(path, ArtifactError)
 
 
 class TestMedian:

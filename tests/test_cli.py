@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import pickle
 import platform
@@ -19,12 +20,13 @@ import pytest
 import nlspsa_ik
 from nlspsa_ik.artifacts import read_trace_csv
 from nlspsa_ik import cli
+from nlspsa_ik.baseline import PsoParams, pso_solve
 from nlspsa_ik.cli import main
 from nlspsa_ik.errors import SolverFault
-from nlspsa_ik.kinematics import ChainModel, Pose
-from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec, default_r_ee
-from nlspsa_ik.optimizer import SolverParams, solve
-from nlspsa_ik.scenarios import Scenario, builtin, save_scenario
+from nlspsa_ik.kinematics import ChainModel
+from nlspsa_ik.objective import LossEvaluator, default_r_ee
+from nlspsa_ik.optimizer import SolverParams, solve, solve_many
+from nlspsa_ik.scenarios import Scenario, builtin, load_scenario, save_scenario
 from nlspsa_ik.svgplot import convergence_svg, posture_svg
 from oracle import combined_loss, read_compare_csv, read_sweep_csv
 
@@ -130,7 +132,7 @@ class TestRunCommand:
         )
         heavy = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
         assert heavy["initial_loss"] != base["initial_loss"]
-        assert heavy["params"]["w_jmc"] == 10.0
+        assert heavy["w_jmc"] == 10.0
 
     def test_end_effector_weight_override_changes_loss(self, tmp_path):
         run_cli("run", "--scenario", "1.5", "--n-max", "50", "--out", tmp_path)
@@ -141,8 +143,8 @@ class TestRunCommand:
         )
         heavy = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
         assert heavy["initial_loss"] != base["initial_loss"]
-        assert heavy["params"]["w_ee"] == 10.0
-        assert heavy["params"]["w_jmc"] == base["params"]["w_jmc"]
+        assert heavy["w_ee"] == 10.0
+        assert heavy["w_jmc"] == base["w_jmc"]
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -286,9 +288,10 @@ def test_plain_spsa_artifacts_are_strict_json(tmp_path):
     run = strict_json(tmp_path / "run_1.1_seed0.json")
     assert run["params"]["d"] is None and "variant" not in run
     sweep = strict_json(tmp_path / "sweep_1.1.json")
-    assert sweep["stats"]["failed"] == 3
+    assert sweep["stats"]["failed"] == 3 and sweep["params"]["d"] is None
     compare = strict_json(tmp_path / "compare_1.1.json")
     assert compare["nlspsa_losses"] == [None, None] and compare["winner"] is None
+    assert compare["params"]["d"] is None
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -753,6 +756,36 @@ class TestPlotCommand:
         err = capsys.readouterr().err
         assert "i/o error" in err and "malformed run artifact" in err
 
+    @pytest.mark.parametrize(
+        "field",
+        ["id", "seed", "link_lengths", "q0_deg", "target", "w_jmc", "q_jmc_diag",
+         "final_q_deg", "trace_csv"],
+    )
+    def test_missing_run_json_field_exit_code(self, tmp_path, capsys, field):
+        result = self._make_run(tmp_path)
+        doc = json.loads(result.read_text())
+        del doc[field]
+        result.write_text(json.dumps(doc))
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {result}: malformed run artifact: ")
+        # a missing diagonal is read as a missing full matrix
+        assert repr(field.removesuffix("_diag")) in err
+        assert list(tmp_path.glob("*.svg")) == []
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "x y", "a/b"])
+    def test_seed_that_is_not_an_integer_exit_code(self, tmp_path, capsys, seed):
+        result = self._make_run(tmp_path)
+        doc = json.loads(result.read_text())
+        doc["seed"] = seed
+        result.write_text(json.dumps(doc))
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        message = ValueError(f"seed must be an integer, got {seed!r}")
+        assert capsys.readouterr().err == (
+            f"i/o error: {result}: malformed run artifact: {message!r}\n"
+        )
+        assert list(tmp_path.rglob("*.svg")) == []
+
     def test_run_json_that_is_not_an_object_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("5")
@@ -846,48 +879,81 @@ def _limited_scenario_file(tmp_path):
     return path
 
 
+def _from_artifact(path):
+    """The scenario, the solver settings and the document of a run, sweep or
+    compare JSON, decoded from the file alone."""
+    doc = json.loads(path.read_text())
+    params = {**doc["params"]}
+    if params["d"] is None:
+        params["d"] = math.inf
+    return load_scenario(path), SolverParams(**params), doc
+
+
 def test_run_json_alone_reproduces_the_run(tmp_path):
     code = run_cli(
         "run", "--scenario", _limited_scenario_file(tmp_path), "--seed", "3",
         "--n-max", "300", "--w-jmc", "2.0", "--out", tmp_path,
     )
     assert code == 0
-    doc = json.loads((tmp_path / "run_limited_seed3.json").read_text())
+    scenario, params, doc = _from_artifact(tmp_path / "run_limited_seed3.json")
     assert doc["versions"] == {
         "nlspsa_ik": nlspsa_ik.__version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    limits = doc["joint_limits"]
-    chain = ChainModel(
-        tuple(doc["link_lengths"]), joint_limits=(limits["q_min"], limits["q_max"])
-    )
-    p = doc["params"]
-    spec = ObjectiveSpec(
-        target=Pose(**doc["target"]),
-        reference=np.array(doc["q0_deg"]),
-        r_ee=np.array(doc["r_ee"]),
-        q_jmc=np.array(doc["q_jmc"]),
-        w_jmc=p["w_jmc"],
-        w_ee=p["w_ee"],
-    )
-    params = SolverParams(
-        **{k: p[k] for k in ("a", "A", "c", "alpha", "gamma", "d", "n_max", "trace_every")}
-    )
-    record = solve(spec, chain, params, doc["seed"])
+    assert (scenario.spec.w_jmc, params.n_max) == (2.0, 300)
+    record = solve(scenario.spec, scenario.chain, params, doc["seed"])
     assert record.final_iterate.tolist() == doc["final_q_deg"]
+    assert record.final_loss == doc["final_loss"]
     # the limits were active, so dropping them would not reproduce the run
-    unlimited = solve(spec, ChainModel(chain.link_lengths), params, doc["seed"])
+    unlimited = solve(
+        scenario.spec, ChainModel(scenario.chain.link_lengths), params, doc["seed"]
+    )
     assert unlimited.final_iterate.tolist() != doc["final_q_deg"]
 
 
-def test_run_json_records_null_limits_and_plot_reads_them(tmp_path):
+def test_sweep_json_alone_reproduces_the_sweep(tmp_path):
+    code = run_cli(
+        "sweep", "--scenario", _limited_scenario_file(tmp_path), "--seeds", "3",
+        "--n-max", "200", "--d", "0.5", "--w-jmc", "3", "--a", "100",
+        "--out", tmp_path,
+    )
+    assert code == 0
+    scenario, params, doc = _from_artifact(tmp_path / "sweep_limited.json")
+    assert (params.d, params.a, scenario.spec.w_jmc) == (0.5, 100.0, 3.0)
+    seeds = [entry["seed"] for entry in doc["per_seed"]]
+    records = solve_many(scenario.spec, scenario.chain, params, seeds)
+    assert [r.final_loss for r in records] == [
+        entry["final_loss"] for entry in doc["per_seed"]
+    ]
+
+
+def test_compare_json_alone_reproduces_the_compare(tmp_path):
+    code = run_cli(
+        "compare", "--scenario", "2.1", "--d", "inf", "--seeds", "2",
+        "--n-max", "100", "--out", tmp_path,
+    )
+    assert code == 0
+    scenario, params, doc = _from_artifact(tmp_path / "compare_2.1.json")
+    assert params.d == math.inf
+    records = solve_many(scenario.spec, scenario.chain, params, doc["seeds"])
+    assert [r.final_loss for r in records] == doc["nlspsa_losses"]
+    pso_params = PsoParams(eval_budget=doc["eval_budget"])
+    assert [
+        pso_solve(scenario.spec, scenario.chain, pso_params, seed).final_loss
+        for seed in doc["seeds"]
+    ] == doc["pso_losses"]
+
+
+def test_run_json_records_limits_only_when_set_and_plot_reads_them(tmp_path):
     assert run_cli("run", "--scenario", "1.1", "--n-max", "30", "--out", tmp_path) == 0
     doc = json.loads((tmp_path / "run_1.1_seed0.json").read_text())
-    assert doc["joint_limits"] is None
+    assert "joint_limits" not in doc
     limited = _limited_scenario_file(tmp_path)
     assert run_cli("run", "--scenario", limited, "--n-max", "30", "--out", tmp_path) == 0
+    doc = json.loads((tmp_path / "run_limited_seed0.json").read_text())
+    assert set(doc["joint_limits"]) == {"q_min", "q_max"}
     for stem in ("run_1.1_seed0", "run_limited_seed0"):
         assert run_cli("plot", "--run", tmp_path / f"{stem}.json", "--out", tmp_path) == 0
 
