@@ -10,6 +10,7 @@ applies the raw update, which is plain SPSA (Spall 1992).
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,9 +21,11 @@ from .errors import SolverFault
 from .kinematics import ChainModel, Pose, forward_kinematics
 from .objective import LossEvaluator, ObjectiveSpec
 
-# Perturbation vectors are drawn per seed in blocks of iterations; block
-# draws consume the PRNG stream exactly like per-iteration draws, so the
-# block length cannot change a result. The run's bookkeeping is settled once
+# Perturbation vectors are drawn per seed in blocks of iterations, as the
+# bits of one getrandbits call. Each iteration takes whole 32-bit words of
+# the stream (getrandbits drops the unused bits of a partial word), so block
+# draws consume the stream exactly like per-iteration draws, and the block
+# length cannot change a result. The run's bookkeeping is settled once
 # per block, too. Each block costs a draw per seed and a settle pass, while
 # its iterate history costs 8 bytes per iteration, seed and joint. So a
 # block holds at most _BLOCK_VALUES iterate values (512 KiB), within
@@ -202,7 +205,12 @@ def solve_many(
         q_hi = np.asarray(limits[1])
 
     started = time.perf_counter()
-    gens = [np.random.default_rng(s) for s in seeds]
+    # CPython's MT19937, one stream per seed; Random seeds from abs(seed),
+    # which is why a negative seed is refused above.
+    gens = [random.Random(s) for s in seeds]
+    # Iteration j's perturbation of joint i is bit 32*words*j + i of its
+    # seed's block draw, little-endian: bit 1 is +1 and bit 0 is -1.
+    words = -(-n // 32)
 
     trace_ks = np.arange(0, n_iter + 1, params.trace_every)
     if trace_ks[-1] != n_iter:
@@ -291,9 +299,13 @@ def solve_many(
                 break
             block_len = min(block, n_iter - block_start)
             deltas = hist[1 : block_len + 1]
-            for si, gen in enumerate(gens):
-                deltas[:, si, :] = gen.integers(0, 2, size=(block_len, n))
-            deltas *= 2.0
+            n_bits = 32 * words * block_len
+            drawn = b"".join(
+                gen.getrandbits(n_bits).to_bytes(n_bits // 8, "little") for gen in gens
+            )
+            bits = np.unpackbits(np.frombuffer(drawn, np.uint8), bitorder="little")
+            bits = bits.reshape(n_seeds, block_len, 32 * words)[:, :, :n]
+            np.multiply(bits.transpose(1, 0, 2), 2.0, out=deltas)
             deltas -= 1.0
             # the gain schedules of this block only: elementwise, so equal to
             # the full run's schedules bit for bit

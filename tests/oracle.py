@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 
@@ -141,9 +142,10 @@ def reference_solve_many(spec: ObjectiveSpec, chain: ChainModel, params: SolverP
     alone, and each iteration makes one :func:`spsa_gradient` over one-row
     ``LossEvaluator`` calls (plus, then minus), applies ``saturate`` and the
     joint limits, and checks the measurements, the new iterate and the
-    traced loss, in the engine's order. A faulted seed's slot holds a
-    ``SolverFault`` with the engine's message and iteration; ``elapsed`` is
-    0."""
+    traced loss, in the engine's order. Each iteration draws its own
+    perturbation from the seed's ``random.Random`` stream. A faulted seed's
+    slot holds a ``SolverFault`` with the engine's message and iteration;
+    ``elapsed`` is 0."""
     return [_reference_run(spec, chain, params, int(seed)) for seed in seeds]
 
 
@@ -155,14 +157,18 @@ def _reference_run(spec, chain, params, seed):
     trace_ks = np.union1d(np.arange(0, params.n_max + 1, params.trace_every), params.n_max)
     traced = set(trace_ks.tolist())
     loss = LossEvaluator(spec, chain)  # counts this seed's rows
-    rng = np.random.default_rng(seed)
+    # Each iteration draws whole 32-bit words of the seed's stream, and its
+    # joint i is +1 where bit i is set and -1 where it is not.
+    stream = random.Random(seed)
+    words = math.ceil(chain.n / 32)
     phi = np.asarray(spec.reference, dtype=float)
     trace, max_step = [loss(phi)], 0.0
     if not math.isfinite(trace[0]):
         return fault("loss", 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a_k, c_k in zip(range(1, params.n_max + 1), a_ks.tolist(), c_ks.tolist()):
-            delta = rng.integers(0, 2, size=chain.n) * 2.0 - 1.0
+            bits = stream.getrandbits(32 * words)
+            delta = np.array([((bits >> i) & 1) * 2.0 - 1.0 for i in range(chain.n)])
             try:
                 update = a_k * spsa_gradient(loss, phi, c_k, delta)
             except SolverFault:
@@ -226,7 +232,12 @@ def read_compare_csv(path) -> dict:
 def three_joint_problem() -> tuple[ObjectiveSpec, ChainModel]:
     """A small well-conditioned problem with an odd joint count, for fast
     solver tests."""
-    n = 3
+    return unit_link_problem(3)
+
+
+def unit_link_problem(n: int) -> tuple[ObjectiveSpec, ChainModel]:
+    """A well-conditioned problem on ``n`` unit links: the target
+    (n/2, n/4, 45) and a start drawn uniformly within 10 degrees of zero."""
     chain = ChainModel.unit_links(n)
     spec = ObjectiveSpec(
         target=Pose(n / 2.0, n / 4.0, 45.0),

@@ -978,6 +978,27 @@ def test_run_loads_no_process_pool(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_run_and_sweep_load_no_numpy_random(tmp_path):
+    # The solver draws its perturbation bits from the stdlib's random, so
+    # only PSO's generator (compare) imports numpy.random, about 5.5 MB.
+    code = (
+        "import sys\n"
+        "from nlspsa_ik.cli import main\n"
+        "assert main(['run', '--scenario', '1.1', '--n-max', '60', "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "assert main(['sweep', '--scenario', '2.1', '--seeds', '2', "
+        f"'--n-max', '60', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlspsa_ik.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_medians_load_no_masked_arrays(tmp_path):
     # np.median and np.nanmedian import numpy.ma (about 1 MB) to check for
     # masked input; compare and sweep report their medians without them.

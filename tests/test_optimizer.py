@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from oracle import (
     loss_gradient,
     spsa_gradient,
     three_joint_problem,
+    unit_link_problem,
 )
 
 DEFAULTS = SolverParams()
+EVALUATE_MANY = LossEvaluator.evaluate_many
 
 
 def counting_helpers(monkeypatch):
@@ -354,6 +357,48 @@ class TestSolve:
         assert rec.final_pose.theta_deg >= 0.0
         assert rec.best_loss <= rec.loss_trace.min() + 1e-18
         assert np.isfinite(rec.loss_trace).all()
+
+
+# The first iteration's perturbation, one sign per joint, of seeds 0 and 1
+# at 8 and 40 joints.
+FIRST_PERTURBATION = {
+    (0, 8): "+-++--++",
+    (1, 8): "+-+-++++",
+    (0, 40): "+-++--+++++-------++-+-----++-++-+++++-+",
+    (1, 40): "+-+-+++++---++-++-+--++--+---+---+-+--+-",
+}
+
+
+@pytest.mark.parametrize("seed, n", FIRST_PERTURBATION)
+def test_perturbation_stream_is_cpython_mt19937(seed, n):
+    """The perturbation bits come from CPython's MT19937
+    ``random.Random(seed).getrandbits``, whole 32-bit words per iteration,
+    joint i being bit i. CPython has kept that stream from 3.6 to 3.13; an
+    interpreter that changes it changes every solver result, and fails
+    here first."""
+    bits = random.Random(seed).getrandbits(32 * math.ceil(n / 32))
+    signs = "".join("+" if bits >> i & 1 else "-" for i in range(n))
+    assert signs == FIRST_PERTURBATION[seed, n]
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_engine_first_perturbation_is_pinned(monkeypatch, n):
+    """``solve_many``'s first loss call measures each seed's start plus and
+    minus c_1 times its first perturbation, drawn from CPython's MT19937
+    ``getrandbits`` stream."""
+    spec, chain = unit_link_problem(n)
+    calls = []
+
+    def recording(self, configs, out=None):
+        calls.append(np.array(configs))
+        return EVALUATE_MANY(self, configs, out=out)
+
+    monkeypatch.setattr(LossEvaluator, "evaluate_many", recording)
+    solve_many(spec, chain, SolverParams(n_max=1), [0, 1])
+    plus = calls[0][:2]
+    for row, seed in zip(plus, [0, 1]):
+        signs = "".join("+" if x > 0 else "-" for x in row - spec.reference)
+        assert signs == FIRST_PERTURBATION[seed, n]
 
 
 def test_public_names():
