@@ -1,6 +1,7 @@
 """Run, sweep, and comparison artifacts and scenario files: the one JSON
-reader and writer, the problem codec they all share, the CSV writers and the
-trace reader.
+reader and strict JSON writer, the problem codec they all share, the
+per-seed table that sweep and compare write, the CSV writers and the trace
+reader.
 
 Floats are serialized with ``repr`` (shortest round-trip form), so re-parsing
 any file reproduces the in-memory values exactly and repeated writes of the
@@ -12,7 +13,7 @@ import csv
 import json
 import math
 import platform
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -108,114 +109,70 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(iterations, dtype=int), cells[:, 0]
 
 
-@dataclass(eq=False)
-class SweepReport:
-    """Per-seed results of one scenario swept over a seed range.
+def seed_table(spec: ObjectiveSpec, outcomes) -> np.ndarray:
+    """The per-seed results of ``solve_many`` or ``pso_solve``, one row per
+    outcome, in the sweep CSV's columns after ``seed``: final loss, position
+    error, absolute theta error, ``wall_ms``, then ``|q_final - q0|`` per
+    joint.
 
-    All statistics except ``total_wall_ms`` are recomputed from the stored
-    per-seed values on access; failed seeds carry NaN entries and a fault
-    message and are excluded from the statistics. A seed's ``wall_ms`` is
-    its ``RunRecord.elapsed``: the wall time of the batch it ran in divided
-    by the seeds in that batch. ``total_wall_ms`` is the sweep's measured
-    wall time, faulted seeds included, or None when none was given.
+    An outcome is a :class:`RunRecord`, or the exception of a seed whose run
+    faulted, whose row is all NaN. A seed's ``wall_ms`` is its
+    ``RunRecord.elapsed``: the wall time of the batch it ran in divided by
+    the seeds in that batch.
     """
-
-    seeds: list[int]
-    final_losses: np.ndarray
-    pos_errors: np.ndarray
-    theta_errors: np.ndarray
-    displacements: np.ndarray  # (n_seeds, n_joints), |q_final - q0| per joint
-    wall_ms: np.ndarray
-    faults: list[str | None]
-    total_wall_ms: float | None = None
-
-    @classmethod
-    def from_outcomes(
-        cls, spec: ObjectiveSpec, seeds, outcomes, *,
-        total_wall_ms: float | None = None,
-    ) -> "SweepReport":
-        """Build from per-seed ``solve``/``pso_solve`` outcomes.
-
-        ``outcomes`` holds one :class:`RunRecord` per seed, or an exception
-        instance for seeds whose run faulted.
-        """
-        seeds = [int(s) for s in seeds]
-        n_seeds = len(seeds)
-        n = spec.n
-        target = spec.target
-        final_losses = np.full(n_seeds, np.nan)
-        pos_errors = np.full(n_seeds, np.nan)
-        theta_errors = np.full(n_seeds, np.nan)
-        displacements = np.full((n_seeds, n), np.nan)
-        wall_ms = np.full(n_seeds, np.nan)
-        faults: list[str | None] = [None] * n_seeds
-        for i, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                faults[i] = str(outcome)
-                continue
-            rec: RunRecord = outcome
-            final_losses[i] = rec.final_loss
-            dx, dy, dtheta = pose_error(target, rec.final_pose)
-            pos_errors[i] = math.hypot(dx, dy)
-            theta_errors[i] = abs(dtheta)
-            displacements[i] = np.abs(rec.final_iterate - spec.reference)
-            wall_ms[i] = rec.elapsed * 1e3
-        return cls(
-            seeds=seeds,
-            final_losses=final_losses,
-            pos_errors=pos_errors,
-            theta_errors=theta_errors,
-            displacements=displacements,
-            wall_ms=wall_ms,
-            faults=faults,
-            total_wall_ms=total_wall_ms,
+    table = np.full((len(outcomes), 4 + spec.n), np.nan)
+    for row, outcome in zip(table, outcomes):
+        if isinstance(outcome, Exception):
+            continue
+        dx, dy, dtheta = pose_error(spec.target, outcome.final_pose)
+        row[:4] = (
+            outcome.final_loss, math.hypot(dx, dy), abs(dtheta), outcome.elapsed * 1e3
         )
-
-    def stats(self) -> dict:
-        ok = ~np.isnan(self.final_losses)
-        if not ok.any():
-            return {
-                "completed": 0,
-                "failed": len(self.seeds),
-                "total_wall_ms": self.total_wall_ms,
-            }
-        return {
-            "completed": int(ok.sum()),
-            "failed": int(len(self.seeds) - ok.sum()),
-            "median_final_loss": float(_median(self.final_losses[ok])),
-            "min_final_loss": float(self.final_losses[ok].min()),
-            "max_final_loss": float(self.final_losses[ok].max()),
-            "median_pos_error": float(_median(self.pos_errors[ok])),
-            "median_theta_error": float(_median(self.theta_errors[ok])),
-            "median_displacement": [
-                float(v) for v in _median(self.displacements[ok], axis=0)
-            ],
-            "median_wall_ms": float(_median(self.wall_ms[ok])),
-            "total_wall_ms": self.total_wall_ms,
-        }
-
-    def to_doc(self) -> dict:
-        per_seed = []
-        for i, seed in enumerate(self.seeds):
-            per_seed.append(
-                {
-                    "seed": seed,
-                    "final_loss": _none_if_not_finite(self.final_losses[i]),
-                    "pos_err": _none_if_not_finite(self.pos_errors[i]),
-                    "theta_err": _none_if_not_finite(self.theta_errors[i]),
-                    "wall_ms": _none_if_not_finite(self.wall_ms[i]),
-                    "dq": None
-                    if self.faults[i] is not None
-                    else [float(v) for v in self.displacements[i]],
-                    "fault": self.faults[i],
-                }
-            )
-        return {"per_seed": per_seed, "stats": self.stats()}
+        row[4:] = np.abs(outcome.final_iterate - spec.reference)
+    return table
 
 
 def _none_if_not_finite(v: float):
     """``v``, or None (JSON null) for NaN and +-inf, which JSON cannot hold."""
     return float(v) if math.isfinite(v) else None
+
+
+def sweep_doc(seeds, outcomes, table: np.ndarray, total_wall_ms: float) -> dict:
+    """The outcome of a sweep, which its JSON records after the problem and
+    the settings: each seed's row of ``table`` (:func:`seed_table`) with its
+    fault message, and ``stats`` over the finished seeds. A faulted seed's
+    values are null, and ``total_wall_ms`` is the sweep's measured wall
+    time, faulted seeds included."""
+    per_seed = []
+    for seed, outcome, row in zip(seeds, outcomes, table):
+        fault = str(outcome) if isinstance(outcome, Exception) else None
+        loss, pos_err, theta_err, wall_ms = map(_none_if_not_finite, row[:4])
+        per_seed.append(
+            {
+                "seed": seed,
+                "final_loss": loss,
+                "pos_err": pos_err,
+                "theta_err": theta_err,
+                "wall_ms": wall_ms,
+                "dq": None if fault is not None else row[4:].tolist(),
+                "fault": fault,
+            }
+        )
+    finished = table[~np.isnan(table[:, 0])]
+    stats: dict = {"completed": len(finished), "failed": len(table) - len(finished)}
+    if len(finished):
+        median = _median(finished, axis=0).tolist()
+        stats.update(
+            median_final_loss=median[0],
+            min_final_loss=float(finished[:, 0].min()),
+            max_final_loss=float(finished[:, 0].max()),
+            median_pos_error=median[1],
+            median_theta_error=median[2],
+            median_displacement=median[4:],
+            median_wall_ms=median[3],
+        )
+    stats["total_wall_ms"] = total_wall_ms
+    return {"per_seed": per_seed, "stats": stats}
 
 
 def sweep_csv_header(n_joints: int) -> list[str]:
@@ -224,18 +181,12 @@ def sweep_csv_header(n_joints: int) -> list[str]:
     ]
 
 
-def write_sweep_csv(path, report: SweepReport) -> None:
+def write_sweep_csv(path, seeds, table: np.ndarray) -> None:
+    """Write ``table`` (:func:`seed_table`) under a ``seed`` column."""
     _write_csv(
         path,
-        sweep_csv_header(report.displacements.shape[1]),
-        [
-            np.asarray(report.seeds, dtype=int),
-            report.final_losses,
-            report.pos_errors,
-            report.theta_errors,
-            report.wall_ms,
-            *report.displacements.T,
-        ],
+        sweep_csv_header(table.shape[1] - 4),
+        [np.asarray(seeds, dtype=int), *table.T],
     )
 
 
@@ -255,17 +206,38 @@ def _pose_doc(pose: Pose) -> dict:
     return {"x": pose.x, "y": pose.y, "theta_deg": pose.theta_deg}
 
 
+def number_from_doc(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, not a
+    bool. Anything else raises ``TypeError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def numbers_from_doc(value, name: str, null: float | None = None) -> list[float]:
+    """``value`` as floats if it is a JSON list of numbers, where a null
+    entry stands for ``null`` when that is given. Anything else raises
+    ``TypeError`` naming ``name``."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list of numbers, got {value!r}")
+    return [
+        null if v is None and null is not None else number_from_doc(v, name)
+        for v in value
+    ]
+
+
 def pose_from_doc(node) -> Pose:
     """The pose ``_pose_doc`` writes. A missing key raises ``KeyError``, and
     an ill-typed, non-finite or out-of-range value ``TypeError`` or
     ``ValueError``."""
-    return Pose(float(node["x"]), float(node["y"]), float(node["theta_deg"]))
+    return Pose(*(number_from_doc(node[k], k) for k in ("x", "y", "theta_deg")))
 
 
 def problem_doc(scenario_id: str, spec: ObjectiveSpec, chain: ChainModel) -> dict:
     """The problem as a scenario file stores it, and as every run, sweep and
     compare JSON starts with it: the id, the chain, the objective (a diagonal
-    ``r_ee`` or ``q_jmc`` as ``*_diag``) and ``joint_limits`` when set."""
+    ``r_ee`` or ``q_jmc`` as ``*_diag``) and ``joint_limits`` when set, with
+    an infinite bound as null: -inf in ``q_min``, +inf in ``q_max``."""
     doc: dict = {
         "id": scenario_id,
         "link_lengths": list(chain.link_lengths),
@@ -280,8 +252,8 @@ def problem_doc(scenario_id: str, spec: ObjectiveSpec, chain: ChainModel) -> dic
         else:
             doc[key] = [[float(v) for v in row] for row in matrix]
     if chain.joint_limits is not None:
-        q_min, q_max = chain.joint_limits
-        doc["joint_limits"] = {"q_min": list(q_min), "q_max": list(q_max)}
+        q_min, q_max = (list(map(_none_if_not_finite, q)) for q in chain.joint_limits)
+        doc["joint_limits"] = {"q_min": q_min, "q_max": q_max}
     return doc
 
 
@@ -289,30 +261,43 @@ def _parse_matrix(doc: dict, key: str) -> np.ndarray:
     """The row-major matrix ``doc[key]``, or the diagonal matrix of
     ``doc[key + '_diag']``; :class:`ObjectiveSpec` checks its shape."""
     if f"{key}_diag" not in doc:
-        return np.asarray(doc[key], dtype=float)
+        rows = doc[key]
+        if not isinstance(rows, list):
+            raise TypeError(f"{key} must be a list of rows, got {rows!r}")
+        return np.array([numbers_from_doc(row, key) for row in rows])
     if key in doc:
         raise ValueError(f"give either {key!r} or '{key}_diag', not both")
-    return np.diag(np.asarray(doc[f"{key}_diag"], dtype=float))
+    return np.diag(numbers_from_doc(doc[f"{key}_diag"], f"{key}_diag"))
 
 
 def problem_from_doc(doc: dict) -> tuple[str, ObjectiveSpec, ChainModel]:
     """The id, objective and chain that :func:`problem_doc` writes, where a
-    full matrix may stand for a diagonal one and a null ``joint_limits`` for
-    none. A missing key raises ``KeyError``, an ill-typed or invalid value
-    ``TypeError`` or ``ValueError``."""
-    scenario_id = str(doc["id"])
+    full matrix may stand for a diagonal one, a null ``joint_limits`` for
+    none, and an infinite bound may also be written as ``-Infinity`` or
+    ``Infinity``. A missing key raises ``KeyError``, a value that is not a
+    JSON number (or list of them, or string for the id) ``TypeError``, and
+    an invalid one ``ValueError``."""
+    scenario_id = doc["id"]
+    if not isinstance(scenario_id, str):
+        raise TypeError(f"id must be a string, got {scenario_id!r}")
     limits = doc.get("joint_limits")
+    if limits is not None:
+        limits = (
+            numbers_from_doc(limits["q_min"], "q_min", null=-math.inf),
+            numbers_from_doc(limits["q_max"], "q_max", null=math.inf),
+        )
     chain = ChainModel(
-        doc["link_lengths"],
-        joint_limits=None if limits is None else (limits["q_min"], limits["q_max"]),
+        numbers_from_doc(doc["link_lengths"], "link_lengths"), joint_limits=limits
     )
     spec = ObjectiveSpec(
-        reference=doc["q0_deg"],
+        reference=numbers_from_doc(
+            doc["q0_deg"], "q0_deg (the reference configuration)"
+        ),
         target=pose_from_doc(doc["target"]),
         r_ee=_parse_matrix(doc, "r_ee"),
         q_jmc=_parse_matrix(doc, "q_jmc"),
-        w_jmc=float(doc["w_jmc"]),
-        w_ee=float(doc["w_ee"]),
+        w_jmc=number_from_doc(doc["w_jmc"], "w_jmc"),
+        w_ee=number_from_doc(doc["w_ee"], "w_ee"),
     )
     return scenario_id, spec, chain
 
@@ -353,16 +338,21 @@ def run_result_doc(record: RunRecord, trace_csv: str) -> dict:
     }
 
 
-def compare_doc(pso_params: PsoParams, nl: SweepReport, pso: SweepReport) -> dict:
+def _finished_median(losses: np.ndarray) -> float | None:
+    """The median of the non-NaN ``losses`` (the finished seeds), or None
+    where no seed finished."""
+    finished = losses[~np.isnan(losses)]
+    return float(_median(finished)) if finished.size else None
+
+
+def compare_doc(pso_params: PsoParams, seeds, nl_losses, pso_losses) -> dict:
     """The outcome of a compare, which its JSON records after the problem and
     the settings: PSO's budget and swarm, each solver's per-seed final loss
-    and median over its finished seeds, and the solver with the lower
-    median. A loss is null where a seed faulted, and a median and the winner
-    are null where no seed of a solver finished."""
-    nl_median, pso_median = (
-        _none_if_not_finite(r.stats().get("median_final_loss", np.nan))
-        for r in (nl, pso)
-    )
+    (column 0 of :func:`seed_table`) and median over its finished seeds, and
+    the solver with the lower median. A loss is null where a seed faulted,
+    and a median and the winner are null where no seed of a solver
+    finished."""
+    nl_median, pso_median = map(_finished_median, (nl_losses, pso_losses))
     if nl_median is None or pso_median is None:
         winner = None
     else:
@@ -371,9 +361,9 @@ def compare_doc(pso_params: PsoParams, nl: SweepReport, pso: SweepReport) -> dic
         "eval_budget": pso_params.eval_budget,
         "population": POPULATION,
         "init_spread": INIT_SPREAD,
-        "seeds": nl.seeds,
-        "nlspsa_losses": [_none_if_not_finite(v) for v in nl.final_losses],
-        "pso_losses": [_none_if_not_finite(v) for v in pso.final_losses],
+        "seeds": list(seeds),
+        "nlspsa_losses": [_none_if_not_finite(v) for v in nl_losses],
+        "pso_losses": [_none_if_not_finite(v) for v in pso_losses],
         "nlspsa_median": nl_median,
         "pso_median": pso_median,
         "winner": winner,
@@ -381,7 +371,9 @@ def compare_doc(pso_params: PsoParams, nl: SweepReport, pso: SweepReport) -> dic
 
 
 def write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Write ``doc`` as strict JSON: a NaN or infinite float in it is a
+    ``ValueError``, not a non-standard constant in the file."""
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def read_json_object(path, error: type[Exception]) -> dict:

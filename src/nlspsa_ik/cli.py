@@ -16,14 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import (
-    SweepReport,
     compare_doc,
+    numbers_from_doc,
     problem_doc,
     problem_from_doc,
     read_json_object,
     read_trace_csv,
     run_result_doc,
+    seed_table,
     settings_doc,
+    sweep_doc,
     write_compare_csv,
     write_json,
     write_sweep_csv,
@@ -169,15 +171,13 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     outcomes = _sweep_outcomes(spec, scenario.chain, params, seeds, args.jobs)
     total_wall_ms = (time.perf_counter() - started) * 1e3
-    report = SweepReport.from_outcomes(
-        spec, seeds, outcomes, total_wall_ms=total_wall_ms
-    )
+    table = seed_table(spec, outcomes)
     out = _outdir(args)
     stem = f"sweep_{_safe_name(scenario.id)}"
-    write_sweep_csv(out / f"{stem}.csv", report)
-    doc = _artifact_doc(scenario, spec, params, report.to_doc())
-    write_json(out / f"{stem}.json", doc)
-    stats = report.stats()
+    write_sweep_csv(out / f"{stem}.csv", seeds, table)
+    doc = sweep_doc(seeds, outcomes, table, total_wall_ms)
+    write_json(out / f"{stem}.json", _artifact_doc(scenario, spec, params, doc))
+    stats = doc["stats"]
     if stats["completed"] == 0:
         print(f"sweep {scenario.id}: all {len(seeds)} seeds faulted")
     else:
@@ -210,12 +210,13 @@ def cmd_compare(args) -> int:
         except SolverFault as fault:
             pso_outcomes.append(fault)
     # as in a sweep, a faulted seed's loss is NaN
-    nl = SweepReport.from_outcomes(spec, seeds, nl_outcomes)
-    pso = SweepReport.from_outcomes(spec, seeds, pso_outcomes)
+    nl_losses, pso_losses = (
+        seed_table(spec, outcomes)[:, 0] for outcomes in (nl_outcomes, pso_outcomes)
+    )
     out = _outdir(args)
     stem = f"compare_{_safe_name(scenario.id)}"
-    write_compare_csv(out / f"{stem}.csv", seeds, nl.final_losses, pso.final_losses)
-    doc = compare_doc(pso_params, nl, pso)
+    write_compare_csv(out / f"{stem}.csv", seeds, nl_losses, pso_losses)
+    doc = compare_doc(pso_params, seeds, nl_losses, pso_losses)
     write_json(out / f"{stem}.json", _artifact_doc(scenario, spec, params, doc))
     nl_median, pso_median = (
         np.nan if doc[k] is None else doc[k] for k in ("nlspsa_median", "pso_median")
@@ -241,7 +242,7 @@ def cmd_plot(args) -> int:
         trace_path = run_path.parent / doc["trace_csv"]
         posture = posture_svg(
             joint_positions(chain, spec.reference),
-            joint_positions(chain, doc["final_q_deg"]),
+            joint_positions(chain, numbers_from_doc(doc["final_q_deg"], "final_q_deg")),
             (spec.target.x, spec.target.y),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -54,8 +54,9 @@ class ChainModel:
 
     ``link_lengths`` are positive (dimensionless length units); the joint
     count n equals the number of links. ``joint_limits``, when present, is a
-    (q_min, q_max) pair of per-joint bounds in degrees; a bound may be
-    infinite (an unbounded joint) but not NaN.
+    (q_min, q_max) pair of per-joint bounds in degrees; a lower bound may
+    be -inf and an upper bound +inf (an unbounded joint), but no bound may
+    be NaN.
     """
 
     link_lengths: tuple[float, ...]
@@ -75,6 +76,11 @@ class ChainModel:
                 raise ValueError("joint limits must have one entry per joint")
             if not all(lo <= hi for lo, hi in zip(q_min, q_max)):  # false for NaN
                 raise ValueError(f"ill-ordered or NaN joint limits: {q_min} vs {q_max}")
+            if math.inf in q_min or -math.inf in q_max:
+                raise ValueError(
+                    f"a +inf lower or -inf upper joint limit admits no finite angle: "
+                    f"{q_min} vs {q_max}"
+                )
             object.__setattr__(self, "joint_limits", (q_min, q_max))
 
     @property

@@ -16,6 +16,7 @@ import numpy as np
 
 from .artifacts import (
     _pose_doc,
+    number_from_doc,
     pose_from_doc,
     problem_doc,
     problem_from_doc,
@@ -72,19 +73,18 @@ class Scenario:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scenario):
             return NotImplemented
-        return (
-            self.id == other.id
-            and self.chain == other.chain
-            and self.spec.target == other.spec.target
-            and np.array_equal(self.spec.reference, other.spec.reference)
-            and np.array_equal(self.spec.r_ee, other.spec.r_ee)
-            and np.array_equal(self.spec.q_jmc, other.spec.q_jmc)
-            and self.spec.w_jmc == other.spec.w_jmc
-            and self.spec.w_ee == other.spec.w_ee
-            and self.expected_initial_pose == other.expected_initial_pose
-            and self.expected_initial_loss == other.expected_initial_loss
-            and self.reported_final_loss == other.reported_final_loss
-        )
+        return _scenario_doc(self) == _scenario_doc(other)
+
+
+def _scenario_doc(scenario: Scenario) -> dict:
+    """The scenario as :func:`save_scenario` writes it: the problem, then
+    the expectations."""
+    doc = problem_doc(scenario.id, scenario.spec, scenario.chain)
+    doc["expected_initial_pose"] = _pose_doc(scenario.expected_initial_pose)
+    doc["expected_initial_loss"] = scenario.expected_initial_loss
+    if scenario.reported_final_loss is not None:
+        doc["reported_final_loss"] = scenario.reported_final_loss
+    return doc
 
 
 def _uniform_motion_weights(n: int) -> np.ndarray:
@@ -162,12 +162,7 @@ def builtin(scenario_id: str) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as a JSON document (see :func:`load_scenario`)."""
-    doc = problem_doc(scenario.id, scenario.spec, scenario.chain)
-    doc["expected_initial_pose"] = _pose_doc(scenario.expected_initial_pose)
-    doc["expected_initial_loss"] = scenario.expected_initial_loss
-    if scenario.reported_final_loss is not None:
-        doc["reported_final_loss"] = scenario.reported_final_loss
-    write_json(path, doc)
+    write_json(path, _scenario_doc(scenario))
 
 
 def load_scenario(path) -> Scenario:
@@ -189,17 +184,21 @@ def load_scenario(path) -> Scenario:
         else:
             pose = forward_kinematics(chain, spec.reference)
         if "expected_initial_loss" in doc:
-            initial_loss = float(doc["expected_initial_loss"])
+            initial_loss = number_from_doc(
+                doc["expected_initial_loss"], "expected_initial_loss"
+            )
         else:
             initial_loss = LossEvaluator(spec, chain)(spec.reference)
         reported = doc.get("reported_final_loss")
+        if reported is not None:
+            reported = number_from_doc(reported, "reported_final_loss")
         return Scenario(
             id=scenario_id,
             chain=chain,
             spec=spec,
             expected_initial_pose=pose,
             expected_initial_loss=initial_loss,
-            reported_final_loss=None if reported is None else float(reported),
+            reported_final_loss=reported,
         )
     except KeyError as exc:
         raise ScenarioFormatError(f"{path}: missing field {exc}") from None

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from nlspsa_ik.artifacts import (
-    SweepReport,
     _median,
     problem_doc,
     problem_from_doc,
     read_json_object,
     read_trace_csv,
     run_result_doc,
+    seed_table,
     settings_doc,
     sweep_csv_header,
+    sweep_doc,
     write_compare_csv,
     write_json,
     write_sweep_csv,
@@ -86,85 +87,73 @@ class TestTraceCsv:
             read_trace_csv(path)
 
 
-def build_report(scenario, outcomes, seeds):
-    return SweepReport.from_outcomes(scenario.spec, seeds, outcomes)
-
-
-class TestSweepReport:
-    def test_stats_recompute_from_per_seed_values(self, short_run):
+class TestSeedTable:
+    def test_stats_are_column_medians(self, short_run):
         s, _ = short_run
         from nlspsa_ik.optimizer import solve_many
 
         outcomes = solve_many(s.spec, s.chain, SolverParams(n_max=40), range(5))
-        report = build_report(s, outcomes, range(5))
-        stats = report.stats()
+        table = seed_table(s.spec, outcomes)
+        stats = sweep_doc(range(5), outcomes, table, 1.0)["stats"]
         assert stats["completed"] == 5
-        assert stats["median_final_loss"] == np.median(report.final_losses)
-        assert stats["min_final_loss"] == report.final_losses.min()
-        assert stats["max_final_loss"] == report.final_losses.max()
+        assert stats["median_final_loss"] == np.median(table[:, 0])
+        assert stats["min_final_loss"] == table[:, 0].min()
+        assert stats["max_final_loss"] == table[:, 0].max()
+        assert stats["median_pos_error"] == np.median(table[:, 1])
+        assert stats["median_theta_error"] == np.median(table[:, 2])
+        assert stats["median_wall_ms"] == np.median(table[:, 3])
         assert stats["median_displacement"] == [
-            float(v) for v in np.median(report.displacements, axis=0)
+            float(v) for v in np.median(table[:, 4:], axis=0)
         ]
 
     def test_faulted_seed_marked_not_aborted(self, short_run):
         s, rec = short_run
         outcomes = [rec, SolverFault("boom", iteration=3)]
-        report = build_report(s, outcomes, [0, 1])
-        assert report.faults == [None, "boom"]
-        assert np.isnan(report.final_losses[1])
-        assert report.stats()["failed"] == 1
-        doc = report.to_doc()
-        assert doc["per_seed"][1]["fault"] == "boom"
+        table = seed_table(s.spec, outcomes)
+        assert table.shape == (2, 4 + s.chain.n)
+        assert not np.isnan(table[0]).any() and np.isnan(table[1]).all()
+        doc = sweep_doc([0, 1], outcomes, table, 1.0)
+        assert [entry["fault"] for entry in doc["per_seed"]] == [None, "boom"]
+        assert doc["stats"]["failed"] == 1
         assert doc["per_seed"][1]["final_loss"] is None
+        assert doc["per_seed"][1]["dq"] is None
 
     def test_total_wall_ms_is_given_not_summed(self, short_run):
         s, rec = short_run
         outcomes = [rec, SolverFault("x")]
-        assert build_report(s, outcomes, [0, 1]).stats()["total_wall_ms"] is None
-        report = SweepReport.from_outcomes(s.spec, [0, 1], outcomes, total_wall_ms=12.5)
-        assert report.to_doc()["stats"]["total_wall_ms"] == 12.5
-        faulted = SweepReport.from_outcomes(
-            s.spec, [0], [SolverFault("x")], total_wall_ms=3.0
-        )
-        assert faulted.stats() == {"completed": 0, "failed": 1, "total_wall_ms": 3.0}
+        doc = sweep_doc([0, 1], outcomes, seed_table(s.spec, outcomes), 12.5)
+        assert doc["stats"]["total_wall_ms"] == 12.5
+        faulted = [SolverFault("x")]
+        doc = sweep_doc([0], faulted, seed_table(s.spec, faulted), 3.0)
+        assert doc["stats"] == {"completed": 0, "failed": 1, "total_wall_ms": 3.0}
 
     def test_csv_round_trip_with_nan(self, short_run, tmp_path):
         s, rec = short_run
-        report = build_report(s, [rec, SolverFault("x")], [0, 1])
+        table = seed_table(s.spec, [rec, SolverFault("x")])
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, report)
+        write_sweep_csv(path, [0, 1], table)
         cols = read_sweep_csv(path)
         assert cols["seeds"] == [0, 1]
-        assert np.array_equal(
-            cols["final_losses"], report.final_losses, equal_nan=True
-        )
-        assert np.array_equal(cols["pos_errors"], report.pos_errors, equal_nan=True)
-        assert np.array_equal(
-            cols["displacements"], report.displacements, equal_nan=True
-        )
+        assert np.array_equal(cols["final_losses"], table[:, 0], equal_nan=True)
+        assert np.array_equal(cols["pos_errors"], table[:, 1], equal_nan=True)
+        assert np.array_equal(cols["displacements"], table[:, 4:], equal_nan=True)
 
     def test_csv_bytes_deterministic(self, short_run, tmp_path):
         s, rec = short_run
-        report = build_report(s, [rec], [0])
+        table = seed_table(s.spec, [rec])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(a, report)
-        write_sweep_csv(b, report)
+        write_sweep_csv(a, [0], table)
+        write_sweep_csv(b, [0], table)
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_bytes_match_the_csv_module(self, short_run, tmp_path):
         # a faulted seed's NaN row, and odd values that need no quoting
         s, rec = short_run
-        report = build_report(s, [rec, SolverFault("x"), rec], [0, 1, 2])
-        report.final_losses[2] = -0.0
-        report.pos_errors[2] = np.inf
-        report.theta_errors[2] = 1e-300
-        report.displacements[2, :2] = [-0.0, 1e-300]
-        write_sweep_csv(tmp_path / "sweep.csv", report)
-        rows = [
-            [seed, report.final_losses[i], report.pos_errors[i],
-             report.theta_errors[i], report.wall_ms[i], *report.displacements[i]]
-            for i, seed in enumerate(report.seeds)
-        ]
+        table = seed_table(s.spec, [rec, SolverFault("x"), rec])
+        table[2, :3] = [-0.0, np.inf, 1e-300]
+        table[2, 4:6] = [-0.0, 1e-300]
+        write_sweep_csv(tmp_path / "sweep.csv", [0, 1, 2], table)
+        rows = [[seed, *table[i]] for i, seed in enumerate([0, 1, 2])]
         assert (tmp_path / "sweep.csv").read_bytes() == csv_module_bytes(
             tmp_path / "ref.csv", sweep_csv_header(s.chain.n), rows
         )
@@ -240,6 +229,14 @@ class TestRunResult:
         ]
         problem = problem_doc(s.id, s.spec, s.chain)
         assert (problem["w_jmc"], problem["w_ee"]) == (s.spec.w_jmc, s.spec.w_ee)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_writer_rejects_non_finite_floats(self, tmp_path, value):
+        # NaN and Infinity are not JSON; a writer that let one through would
+        # write a file that strict parsers refuse
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", {"x": [value]})
+        assert not (tmp_path / "bad.json").exists()
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "corrupt.json"

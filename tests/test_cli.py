@@ -206,6 +206,31 @@ def test_ill_typed_scenario_field_is_a_scenario_error(
     assert err.startswith("scenario error: ") and str(path) in err and named in err
 
 
+# a string, a bool or a float id, each of which float() or str() used to take
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("link_lengths", "11111111", "link_lengths must be a list of numbers"),
+        ("joint_limits", {"q_min": "00000000", "q_max": [180.0] * 8},
+         "q_min must be a list of numbers"),
+        ("w_ee", "50", "w_ee must be a number"),
+        ("w_jmc", True, "w_jmc must be a number"),
+        ("target", {"x": "4", "y": 3.0, "theta_deg": 180.0}, "x must be a number"),
+        ("q0_deg", [False, 0.0, 0.0, 0.0, 90.0, 0.0, 0.0, 90.0], "q0_deg"),
+        ("reported_final_loss", True, "reported_final_loss must be a number"),
+        ("id", 1.1, "id must be a string"),
+    ],
+)
+def test_scenario_field_that_is_not_a_json_number_is_a_scenario_error(
+    tmp_path, capsys, field, value, named
+):
+    path = _edited_scenario_file(tmp_path, **{field: value})
+    assert run_cli("run", "--scenario", path, "--n-max", "5", "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path}: ") and named in err
+    assert list(tmp_path.glob("run_*")) == []
+
+
 def test_scenario_file_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -292,6 +317,44 @@ def test_plain_spsa_artifacts_are_strict_json(tmp_path):
     compare = strict_json(tmp_path / "compare_1.1.json")
     assert compare["nlspsa_losses"] == [None, None] and compare["winner"] is None
     assert compare["params"]["d"] is None
+
+
+def _unbounded_scenario() -> Scenario:
+    """1.1 with every lower joint limit at -inf and the first upper one at
+    +inf."""
+    base = builtin("1.1")
+    limits = ((-math.inf,) * 8, (math.inf,) + (180.0,) * 7)
+    chain = ChainModel(base.chain.link_lengths, joint_limits=limits)
+    return dataclasses.replace(base, chain=chain)
+
+
+def test_infinite_joint_limits_are_strict_json(tmp_path):
+    # null stands for -inf in q_min and +inf in q_max
+    scenario = _unbounded_scenario()
+    path = tmp_path / "unbounded.json"
+    save_scenario(scenario, path)
+    assert strict_json(path)["joint_limits"] == {
+        "q_min": [None] * 8, "q_max": [None] + [180.0] * 7,
+    }
+    assert load_scenario(path) == scenario
+    assert run_cli("run", "--scenario", path, "--n-max", "30", "--out", tmp_path) == 0
+    assert run_cli("sweep", "--scenario", path, "--n-max", "30", "--seeds", "2",
+                   "--out", tmp_path) == 0
+    for name in ("run_1.1_seed0.json", "sweep_1.1.json"):
+        doc = strict_json(tmp_path / name)
+        assert doc["joint_limits"] == strict_json(path)["joint_limits"]
+        assert load_scenario(tmp_path / name).chain == scenario.chain
+
+
+def test_infinite_joint_limits_written_as_infinity_still_load(tmp_path):
+    scenario = _unbounded_scenario()
+    path = tmp_path / "old.json"
+    save_scenario(scenario, path)
+    doc = json.loads(path.read_text())
+    doc["joint_limits"] = {"q_min": [-math.inf] * 8, "q_max": [math.inf] + [180.0] * 7}
+    path.write_text(json.dumps(doc))
+    assert "-Infinity" in path.read_text()
+    assert load_scenario(path) == scenario
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -469,6 +532,45 @@ class TestSweepCommand:
         assert (stats["completed"], stats["failed"]) == (1, 1)
         assert stats["median_wall_ms"] == 0.0
         assert stats["total_wall_ms"] >= 50
+
+    def test_csv_and_json_agree_seed_for_seed(self, tmp_path, monkeypatch):
+        # both come from one table: the faulted middle seed is nan in the
+        # CSV, null in the JSON and in no median
+        scenario = builtin("1.1")
+        records = solve_many(scenario.spec, scenario.chain, SolverParams(n_max=20), [0, 2])
+        fault = SolverFault("non-finite loss at iteration 1", iteration=1)
+
+        def faulting_solve_many(spec, chain, params, seeds):
+            return [records[0], fault, records[1]]
+
+        monkeypatch.setattr(cli, "solve_many", faulting_solve_many)
+        code = run_cli(
+            "sweep", "--scenario", "1.1", "--seeds", "3", "--n-max", "20",
+            "--out", tmp_path,
+        )
+        assert code == 0
+        cols = read_sweep_csv(tmp_path / "sweep_1.1.csv")
+        doc = json.loads((tmp_path / "sweep_1.1.json").read_text())
+        assert cols["seeds"] == [entry["seed"] for entry in doc["per_seed"]] == [0, 1, 2]
+        for i, entry in enumerate(doc["per_seed"]):
+            csv_row = [
+                *(cols[k][i] for k in ("final_losses", "pos_errors", "theta_errors", "wall_ms")),
+                *cols["displacements"][i],
+            ]
+            json_row = [
+                *(entry[k] for k in ("final_loss", "pos_err", "theta_err", "wall_ms")),
+                *(entry["dq"] or [None] * scenario.chain.n),
+            ]
+            assert [None if math.isnan(v) else v for v in csv_row] == json_row
+        assert [entry["fault"] for entry in doc["per_seed"]] == [None, str(fault), None]
+        stats = doc["stats"]
+        assert (stats["completed"], stats["failed"]) == (2, 1)
+        losses = [r.final_loss for r in records]
+        assert stats["median_final_loss"] == (losses[0] + losses[1]) / 2
+        assert (stats["min_final_loss"], stats["max_final_loss"]) == (min(losses), max(losses))
+        assert stats["median_displacement"] == (
+            np.median(cols["displacements"][[0, 2]], axis=0).tolist()
+        )
 
     def test_all_faulted_marked(self, tmp_path, capsys):
         code = run_cli(
@@ -755,6 +857,18 @@ class TestPlotCommand:
         assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
         err = capsys.readouterr().err
         assert "i/o error" in err and "malformed run artifact" in err
+
+    def test_final_q_deg_that_is_not_json_numbers_exit_code(self, tmp_path, capsys):
+        # true used to plot as 1 degree
+        result = self._make_run(tmp_path)
+        doc = json.loads(result.read_text())
+        doc["final_q_deg"][0] = True
+        result.write_text(json.dumps(doc))
+        assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {result}: malformed run artifact: ")
+        assert "final_q_deg must be a number" in err
+        assert list(tmp_path.glob("*.svg")) == []
 
     @pytest.mark.parametrize(
         "field",

@@ -139,6 +139,14 @@ class TestChainModel:
         with pytest.raises(ValueError, match="NaN"):
             ChainModel((1.0, 1.0), joint_limits=limits)
 
+    @pytest.mark.parametrize(
+        "limits",
+        [((math.inf, 0.0), (math.inf, 1.0)), ((-1.0, -math.inf), (0.0, -math.inf))],
+    )
+    def test_limit_that_admits_no_finite_angle_rejected(self, limits):
+        with pytest.raises(ValueError, match="admits no finite angle"):
+            ChainModel((1.0, 1.0), joint_limits=limits)
+
     def test_infinite_joint_limits_allowed(self):
         chain = ChainModel((1.0, 1.0), joint_limits=((-math.inf, 0), (math.inf, math.inf)))
         assert chain.joint_limits == ((-math.inf, 0.0), (math.inf, math.inf))
