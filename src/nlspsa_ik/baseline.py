@@ -7,6 +7,7 @@ defaults.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import SolverFault
 from .kinematics import ChainModel, forward_kinematics
 from .objective import LossEvaluator, ObjectiveSpec
-from .optimizer import RunRecord, require_count
+from .optimizer import RunRecord, require_count, require_seed
 
 
 # The velocity update's constriction coefficients (Clerc and Kennedy 2002):
@@ -24,11 +25,29 @@ INERTIA = 0.7298
 COGNITIVE = 1.49618
 SOCIAL = 1.49618
 # The swarm: POPULATION particles start at the reference configuration plus
-# a componentwise uniform offset in (-INIT_SPREAD, +INIT_SPREAD) degrees,
+# a componentwise uniform offset in [-INIT_SPREAD, +INIT_SPREAD) degrees,
 # with zero velocities, and velocity components are clamped to
 # +-INIT_SPREAD.
 POPULATION = 100
 INIT_SPREAD = 20.0
+
+# Each seed draws from its own SplitMix64 stream (Steele, Lea and Flood 2014,
+# with Vigna's reference constants), whose state starts at the seed. Word k
+# = 1, 2, ... of the stream is a fixed mix of seed + k*_GAMMA mod 2**64, so a
+# whole draw is computed in one vector pass. Each word gives two uniforms in
+# [0, 1): its low 32 bits times 2**-32, then its high 32 bits times 2**-32.
+# The swarm takes the first POPULATION*n/2 words, and each generation the
+# next POPULATION*n words, r_cog's uniforms then r_soc's. Generations take
+# whole words, so drawing _DRAW_GENERATIONS of them at once cannot change a
+# result; it amortizes the draw's fixed cost.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_MIX2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
+_MASK = (1 << 64) - 1
+_DRAW_GENERATIONS = 4
+# c1 == c2, so the draw scales every uniform by the pull directly: u32 *
+# (c * 2**-32) rounds once, exactly as (u32 * 2**-32) * c does.
+_PULL_SCALE = COGNITIVE * 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -48,11 +67,39 @@ class PsoParams:
             )
 
 
+class _SplitMix64:
+    """One seed's SplitMix64 stream from ``state``: each ``fill`` draws the
+    next prod(shape)/2 words into a float64 array of ``shape``. The buffers
+    are preallocated, and the state is a Python int: numpy's uint64 arrays
+    wrap silently, but its scalars warn on overflow."""
+
+    def __init__(self, state: int, shape: tuple):
+        self.state = state
+        count = math.prod(shape) // 2
+        self._steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._words = np.empty(count, "<u8")
+        self._shifted = np.empty(count, "<u8")
+        # little-endian, so that a word's halves are low then high on any host
+        self._halves = self._words.view("<u4").reshape(shape)
+
+    def fill(self, out: np.ndarray, scale: float = 2.0**-32) -> np.ndarray:
+        """Fill ``out`` with the halves of the stream's next words times ``scale``."""
+        z, shifted = self._words, self._shifted
+        np.add(self._steps, self.state, out=z)
+        self.state = (self.state + len(z) * _GAMMA) & _MASK
+        np.bitwise_xor(z, np.right_shift(z, 30, out=shifted), out=z)
+        np.multiply(z, _MIX1, out=z)
+        np.bitwise_xor(z, np.right_shift(z, 27, out=shifted), out=z)
+        np.multiply(z, _MIX2, out=z)
+        np.bitwise_xor(z, np.right_shift(z, 31, out=shifted), out=z)
+        return np.multiply(self._halves, scale, out=out)
+
+
 def pso_solve(
     spec: ObjectiveSpec, chain: ChainModel, params: PsoParams, seed: int
 ) -> RunRecord:
     """Minimize the loss with gbest PSO under an exact evaluation budget,
-    seeded from ``seed``, which must be nonnegative (a negative one raises
+    seeded from ``seed``, an integer in [0, 2**64) (any other raises
     ``ValueError``).
 
     The final generation is truncated so that exactly ``eval_budget`` loss
@@ -60,15 +107,14 @@ def pso_solve(
     best-so-far (standard for PSO); ``loss_trace`` holds the global best
     after each generation and ``trace_iterations`` the generation index.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seed = require_seed(seed)
     evaluator = LossEvaluator(spec, chain)
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
     pop = POPULATION
     n = chain.n
-
-    positions = spec.reference + rng.uniform(-INIT_SPREAD, INIT_SPREAD, size=(pop, n))
+    swarm = _SplitMix64(seed, (pop, n))
+    uniforms = swarm.fill(np.empty((pop, n)))
+    positions = spec.reference + (2.0 * INIT_SPREAD * uniforms - INIT_SPREAD)
     velocities = np.zeros((pop, n))
     losses = evaluator.evaluate_many(positions)
     if not np.isfinite(losses).all():
@@ -81,23 +127,26 @@ def pso_solve(
     gbest_loss = float(pbest_loss[champion])
     trace = [gbest_loss]
 
-    # One draw fills both random matrices from the same stream as two draws.
-    randoms = np.empty((2, pop, n))
-    r_cog, r_soc = randoms
+    # One draw fills the pulls c1*r_cog and c2*r_soc of _DRAW_GENERATIONS
+    # generations.
+    pulls = np.empty((_DRAW_GENERATIONS, 2, pop, n))
+    pull_rows = [tuple(both) for both in pulls]
+    stream = _SplitMix64(swarm.state, pulls.shape)
     pull = np.empty((pop, n))
     generation = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while evals < params.eval_budget:
+            slot = generation % _DRAW_GENERATIONS
+            if slot == 0:
+                stream.fill(pulls, _PULL_SCALE)
+            cog, soc = pull_rows[slot]
             generation += 1
             m = min(pop, params.eval_budget - evals)
-            rng.random(out=randoms)
             # v = w*v + (c1*r_cog)*(pbest - x) + (c2*r_soc)*(gbest - x), in
             # place and in that order
             velocities *= INERTIA
-            r_cog *= COGNITIVE
-            velocities += np.multiply(r_cog, np.subtract(pbest_pos, positions, pull), pull)
-            r_soc *= SOCIAL
-            velocities += np.multiply(r_soc, np.subtract(gbest_pos, positions, pull), pull)
+            velocities += np.multiply(cog, np.subtract(pbest_pos, positions, pull), pull)
+            velocities += np.multiply(soc, np.subtract(gbest_pos, positions, pull), pull)
             np.clip(velocities, -INIT_SPREAD, INIT_SPREAD, out=velocities)
             positions += velocities
             losses = evaluator.evaluate_many(positions[:m])

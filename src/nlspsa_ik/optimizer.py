@@ -88,6 +88,18 @@ def require_count(params, name: str) -> int:
     return int(value)
 
 
+def require_seed(seed) -> int:
+    """``seed`` as an int: an integer (Python or numpy, not bool) in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    value = int(seed)
+    if value < 0:
+        raise ValueError(f"seed must be nonnegative, got {value}")
+    if value >= 1 << 64:
+        raise ValueError(f"seed must be below 2**64, got {value}")
+    return value
+
+
 @dataclass(eq=False)
 class RunRecord:
     """Outcome of one solver run.
@@ -172,8 +184,8 @@ def solve_many(
 ) -> list:
     """Run one solver instance per seed, batched over a shared iteration loop.
 
-    Each seed, which must be nonnegative (a negative one raises
-    ``ValueError``), owns an independent PRNG stream and every batch size
+    Each seed, an integer in [0, 2**64) (any other raises ``ValueError``),
+    owns an independent PRNG stream and every batch size
     runs the same arithmetic, so a seed's result is bit-identical whichever
     seeds share its batch. A failed seed's slot holds its :class:`SolverFault`
     instead of a record, and the other seeds keep running. ``elapsed`` is
@@ -189,11 +201,9 @@ def solve_many(
     iteration. Every seed that does not fault runs all ``n_max``
     iterations, and its trace values are all finite.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = [require_seed(s) for s in seeds]
     if not seeds:
         return []
-    if min(seeds) < 0:
-        raise ValueError(f"seed must be nonnegative, got {min(seeds)}")
     evaluate = LossEvaluator(spec, chain).evaluate_many
     n = chain.n
     n_seeds = len(seeds)

@@ -6,7 +6,8 @@ the solver only as the batched engine ``solve_many``. These are the
 per-configuration and per-iteration forms written out directly from the
 definitions, so that they stay independent of the code under test. The
 readers of the sweep and compare CSVs are here too, as no command reads
-those files back, and one small problem that the solver tests share.
+those files back, one small problem that the solver tests share, and PSO's
+SplitMix64 stream word by word in Python ints.
 """
 from __future__ import annotations
 
@@ -128,6 +129,20 @@ def spsa_gradient(loss, phi, c_k: float, delta) -> np.ndarray:
             f"non-finite loss measurement: J+={loss_plus}, J-={loss_minus}"
         )
     return optimizer._estimate(loss_plus, loss_minus, c_k) / delta
+
+
+def splitmix64_words(state: int, count: int) -> list[int]:
+    """The ``count`` SplitMix64 words after ``state`` (Vigna's reference
+    ``next``), one at a time in Python ints masked to 64 bits."""
+    mask = (1 << 64) - 1
+    words = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
 
 
 def gain_schedules(params: SolverParams, ks) -> tuple[np.ndarray, np.ndarray]:

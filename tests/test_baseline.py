@@ -9,6 +9,7 @@ from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
 from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec
 from nlspsa_ik.scenarios import builtin, builtin_ids
+from oracle import splitmix64_words
 
 DEG2RAD2 = (2 * math.pi / 360) ** 2
 
@@ -51,6 +52,24 @@ class TestPsoSolve:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             pso_solve(sphere_spec(), ChainModel.unit_links(2), PsoParams(), -1)
 
+    @pytest.mark.parametrize("seed, message", [
+        (True, "^seed must be an integer, got True$"),
+        (1.5, r"^seed must be an integer, got 1\.5$"),
+        (2.0, r"^seed must be an integer, got 2\.0$"),
+        ("3", "^seed must be an integer, got '3'$"),
+        (2**64, f"^seed must be below 2\\*\\*64, got {2**64}$"),
+    ])
+    def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            pso_solve(sphere_spec(), ChainModel.unit_links(2), PsoParams(eval_budget=100), seed)
+
+    def test_accepts_a_numpy_seed_as_an_int(self):
+        params = PsoParams(eval_budget=300)
+        rec = pso_solve(sphere_spec(), ChainModel.unit_links(2), params, np.uint64(2**64 - 1))
+        assert rec.seed == 2**64 - 1 and type(rec.seed) is int
+        same = pso_solve(sphere_spec(), ChainModel.unit_links(2), params, 2**64 - 1)
+        assert np.array_equal(rec.loss_trace, same.loss_trace)
+
     def test_sphere_sanity(self):
         spec = sphere_spec()
         chain = ChainModel.unit_links(2)
@@ -65,9 +84,10 @@ class TestPsoSolve:
         chain = ChainModel.unit_links(2)
         params = PsoParams(eval_budget=100)
         rec = pso_solve(spec, chain, params, 5)
-        # recompute the initial sample independently
-        rng = np.random.default_rng(5)
-        positions = spec.reference + rng.uniform(-20.0, 20.0, size=(100, 2))
+        # recompute the initial sample independently: the swarm's offsets
+        # are the stream's first 200 uniforms, mapped onto [-20, 20)
+        uniforms = baseline._SplitMix64(5, (100, 2)).fill(np.empty((100, 2)))
+        positions = spec.reference + (-20.0 + 40.0 * uniforms)
         losses = LossEvaluator(spec, chain).evaluate_many(positions)
         assert rec.final_loss == losses.min()
         assert rec.evaluations == 100
@@ -137,15 +157,16 @@ class TestPsoSolve:
 
 def frozen_pso_generations(spec, chain, params, seed):
     """The generation loop of pso_solve before it reused its buffers, kept
-    verbatim as a bit-identity oracle. Returns the global best, the trace of
-    global bests and the number of evaluations."""
+    as a bit-identity oracle. It draws one generation's uniforms at a time
+    and scales them by the pulls after the draw. Returns the global best,
+    the trace of global bests and the number of evaluations."""
     evaluator = LossEvaluator(spec, chain)
-    rng = np.random.default_rng(seed)
     pop = baseline.POPULATION
     n = chain.n
+    stream = baseline._SplitMix64(seed, (pop, n))
     spread = baseline.INIT_SPREAD
 
-    positions = spec.reference + rng.uniform(-spread, spread, size=(pop, n))
+    positions = spec.reference + (-spread + 2 * spread * stream.fill(np.empty((pop, n))))
     velocities = np.zeros((pop, n))
     losses = evaluator.evaluate_many(positions)
     evals = pop
@@ -159,8 +180,8 @@ def frozen_pso_generations(spec, chain, params, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         while evals < params.eval_budget:
             m = min(pop, params.eval_budget - evals)
-            r_cog = rng.random(size=(pop, n))
-            r_soc = rng.random(size=(pop, n))
+            r_cog = stream.fill(np.empty((pop, n)))
+            r_soc = stream.fill(np.empty((pop, n)))
             velocities = (
                 baseline.INERTIA * velocities
                 + baseline.COGNITIVE * r_cog * (pbest_pos - positions)
@@ -204,3 +225,51 @@ def test_generation_step_matches_frozen_loop(scenario_id, setting):
         assert np.array_equal(rec.final_iterate, final)
         assert np.array_equal(rec.loss_trace, trace)
         assert rec.evaluations == evals == params.eval_budget
+
+
+class TestStream:
+    """PSO's SplitMix64 stream: integer arithmetic plus one exact scaling, so
+    its words and uniforms are the same on every host and numpy version."""
+
+    def test_reference_words(self):
+        # Vigna's splitmix64.c from state 1234567
+        assert splitmix64_words(1234567, 5) == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+        stream = baseline._SplitMix64(1234567, (5, 2))
+        halves = stream.fill(np.empty((5, 2)), 1.0).astype(np.uint64).reshape(5, 2)
+        words = halves[:, 0] | halves[:, 1] << np.uint64(32)
+        assert words.tolist() == splitmix64_words(1234567, 5)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n", [2, 3, 20])
+    def test_draws_match_the_oracle_word_for_word(self, seed, n):
+        # the swarm's draw, then one generation, then blocks of generations,
+        # each stream taking over the state of the one before
+        pop = baseline.POPULATION
+        shapes = [(pop, n), (2, pop, n)] + [(baseline._DRAW_GENERATIONS, 2, pop, n)] * 2
+        state, drawn = seed, []
+        for shape in shapes:
+            stream = baseline._SplitMix64(state, shape)
+            drawn.extend(stream.fill(np.empty(shape)).ravel().tolist())
+            state = stream.state
+        expected = [
+            half * 2.0**-32
+            for word in splitmix64_words(seed, len(drawn) // 2)
+            for half in (word & 0xFFFFFFFF, word >> 32)
+        ]
+        assert drawn == expected
+
+    # the first six uniforms: the low then the high half of three words
+    FIRST_UNIFORMS = {
+        0: [0.4809235145803541, 0.883310808101669, 0.6317352028563619,
+            0.43152799690142274, 0.5001414602156729, 0.02643377147614956],
+        1: [0.5351922961417586, 0.5665615750476718, 0.3967120887245983,
+            0.7457817571703345, 0.9812367777340114, 0.9710027533583343],
+    }
+
+    @pytest.mark.parametrize("seed", FIRST_UNIFORMS)
+    def test_first_uniforms_are_pinned(self, seed):
+        stream = baseline._SplitMix64(seed, (6,))
+        assert stream.fill(np.empty(6)).tolist() == self.FIRST_UNIFORMS[seed]

@@ -1092,17 +1092,21 @@ def test_run_loads_no_process_pool(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
-def test_run_and_sweep_load_no_numpy_random(tmp_path):
-    # The solver draws its perturbation bits from the stdlib's random, so
-    # only PSO's generator (compare) imports numpy.random, about 5.5 MB.
+def test_no_command_loads_numpy_random(tmp_path):
+    # NLSPSA draws its perturbation bits from the stdlib's random and PSO
+    # from its own SplitMix64, so no command imports numpy.random, which
+    # with secrets and hmac costs about 5.5 MB.
+    out = str(tmp_path)
     code = (
         "import sys\n"
         "from nlspsa_ik.cli import main\n"
-        "assert main(['run', '--scenario', '1.1', '--n-max', '60', "
-        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['run', '--scenario', '1.1', '--n-max', '60', '--out', {out!r}]) == 0\n"
         "assert main(['sweep', '--scenario', '2.1', '--seeds', '2', "
-        f"'--n-max', '60', '--out', {str(tmp_path)!r}]) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        f"'--n-max', '60', '--out', {out!r}]) == 0\n"
+        "assert main(['compare', '--scenario', '2.1', '--seeds', '2', "
+        f"'--n-max', '60', '--out', {out!r}]) == 0\n"
+        f"assert main(['plot', '--run', {out + '/run_1.1_seed0.json'!r}, '--out', {out!r}]) == 0\n"
+        "print([m for m in ('numpy.random', 'secrets', 'hmac') if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(nlspsa_ik.__file__).parents[1]))
     result = subprocess.run(
@@ -1110,7 +1114,7 @@ def test_run_and_sweep_load_no_numpy_random(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_medians_load_no_masked_arrays(tmp_path):

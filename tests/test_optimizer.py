@@ -345,6 +345,32 @@ class TestSolve:
         with pytest.raises(ValueError, match=message):
             solve(spec, chain, params, -1)
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.7, r"^seed must be an integer, got 1\.7$"),
+        (2.0, r"^seed must be an integer, got 2\.0$"),
+        (True, "^seed must be an integer, got True$"),
+        ("3", "^seed must be an integer, got '3'$"),
+        (2**64, f"^seed must be below 2\\*\\*64, got {2**64}$"),
+    ])
+    def test_seed_that_is_not_a_64_bit_integer_rejected(self, seed, message):
+        spec, chain = three_joint_problem()
+        params = SolverParams(n_max=5)
+        with pytest.raises(ValueError, match=message):
+            solve_many(spec, chain, params, [1, seed])
+        with pytest.raises(ValueError, match=message):
+            solve(spec, chain, params, seed)
+
+    def test_numpy_seed_runs_as_its_int(self):
+        spec, chain = three_joint_problem()
+        params = SolverParams(n_max=5)
+        top = 2**64 - 1
+        got = solve_many(spec, chain, params, [np.int64(3), np.uint64(top)])
+        want = solve_many(spec, chain, params, [3, top])
+        assert [r.seed for r in got] == [3, top]
+        assert all(type(r.seed) is int for r in got)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.loss_trace, b.loss_trace)
+
     def test_solve_many_empty_seed_list(self):
         spec, chain = three_joint_problem()
         assert solve_many(spec, chain, SolverParams(n_max=5), []) == []
