@@ -20,7 +20,7 @@ import numpy as np
 
 from .baseline import INIT_SPREAD, POPULATION, PsoParams
 from .errors import ArtifactError
-from .kinematics import ChainModel, Pose, pose_error
+from .kinematics import ChainModel, Pose, pose_error, require_number
 from .objective import ObjectiveSpec, _is_diagonal
 from .optimizer import RunRecord, SolverParams
 
@@ -206,14 +206,6 @@ def _pose_doc(pose: Pose) -> dict:
     return {"x": pose.x, "y": pose.y, "theta_deg": pose.theta_deg}
 
 
-def number_from_doc(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number: an int or a float, not a
-    bool. Anything else raises ``TypeError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def numbers_from_doc(value, name: str, null: float | None = None) -> list[float]:
     """``value`` as floats if it is a JSON list of numbers, where a null
     entry stands for ``null`` when that is given. Anything else raises
@@ -221,7 +213,7 @@ def numbers_from_doc(value, name: str, null: float | None = None) -> list[float]
     if not isinstance(value, list):
         raise TypeError(f"{name} must be a list of numbers, got {value!r}")
     return [
-        null if v is None and null is not None else number_from_doc(v, name)
+        null if v is None and null is not None else require_number(v, name)
         for v in value
     ]
 
@@ -230,7 +222,7 @@ def pose_from_doc(node) -> Pose:
     """The pose ``_pose_doc`` writes. A missing key raises ``KeyError``, and
     an ill-typed, non-finite or out-of-range value ``TypeError`` or
     ``ValueError``."""
-    return Pose(*(number_from_doc(node[k], k) for k in ("x", "y", "theta_deg")))
+    return Pose(*(node[k] for k in ("x", "y", "theta_deg")))
 
 
 def problem_doc(scenario_id: str, spec: ObjectiveSpec, chain: ChainModel) -> dict:
@@ -296,8 +288,8 @@ def problem_from_doc(doc: dict) -> tuple[str, ObjectiveSpec, ChainModel]:
         target=pose_from_doc(doc["target"]),
         r_ee=_parse_matrix(doc, "r_ee"),
         q_jmc=_parse_matrix(doc, "q_jmc"),
-        w_jmc=number_from_doc(doc["w_jmc"], "w_jmc"),
-        w_ee=number_from_doc(doc["w_ee"], "w_ee"),
+        w_jmc=doc["w_jmc"],
+        w_ee=doc["w_ee"],
     )
     return scenario_id, spec, chain
 

@@ -35,7 +35,7 @@ from .baseline import PsoParams, pso_solve
 from .errors import ArtifactError, ScenarioError, ScenarioLookupError, SolverFault
 from .kinematics import joint_positions
 from .objective import ObjectiveSpec
-from .optimizer import SolverParams, solve, solve_many
+from .optimizer import SolverParams, require_seed, solve, solve_many
 from .scenarios import Scenario, builtin, builtin_ids, load_scenario
 from .svgplot import convergence_svg, posture_svg
 
@@ -236,9 +236,7 @@ def cmd_plot(args) -> int:
     doc = read_json_object(run_path, ArtifactError)
     try:
         scenario_id, spec, chain = problem_from_doc(doc)
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        seed = require_seed(doc["seed"])
         trace_path = run_path.parent / doc["trace_csv"]
         posture = posture_svg(
             joint_positions(chain, spec.reference),

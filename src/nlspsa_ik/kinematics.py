@@ -7,6 +7,7 @@ radians only inside the trigonometric evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ _DEG2RAD = _constant(DEG2RAD)
 _TURN_DEG = _constant(360.0)
 
 
+def require_number(value, name: str) -> float:
+    """``value`` as a float: a real number, Python or numpy, but not a bool.
+    Anything else raises ``TypeError`` naming ``name``. A field stored this
+    way is one a JSON artifact can write and read back."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Pose:
     """Planar end-effector pose: position and orientation theta in [0, 360)."""
@@ -36,7 +46,8 @@ class Pose:
 
     def __post_init__(self):
         for name in ("x", "y", "theta_deg"):
-            v = getattr(self, name)
+            v = require_number(getattr(self, name), f"Pose.{name}")
+            object.__setattr__(self, name, v)
             if not math.isfinite(v):
                 raise ValueError(f"Pose.{name} must be finite, got {v}")
         if not 0.0 <= self.theta_deg < 360.0:
@@ -149,13 +160,19 @@ def forward_kinematics(chain: ChainModel, q) -> Pose:
 
 
 def joint_positions(chain: ChainModel, q) -> np.ndarray:
-    """(n+1, 2) polyline of joint positions from the base at the origin."""
+    """(n+1, 2) polyline of joint positions from the base at the origin.
+
+    :func:`pose_rows` on n copies of ``q``, where row p weighs only the
+    first p+1 links, so the last point is :func:`forward_kinematics`'s x
+    and y bit for bit.
+    """
     q = _check_joint_vector(chain, q)
-    lengths = np.asarray(chain.link_lengths)
-    angles = np.cumsum(q) * DEG2RAD
-    pts = np.zeros((chain.n + 1, 2))
-    pts[1:, 0] = np.cumsum(lengths * np.cos(angles))
-    pts[1:, 1] = np.cumsum(lengths * np.sin(angles))
+    n = chain.n
+    pts = np.zeros((n + 1, 2))
+    pose_rows(
+        np.tile(q, (n, 1)), np.tril(chain.link_lengths), np.empty((n, n)),
+        np.empty((2, n, n)), pts[1:].T, np.empty(n),
+    )
     return pts
 
 

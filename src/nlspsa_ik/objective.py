@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import DEG2RAD, ChainModel, Pose, pose_errors, pose_rows
+from .kinematics import DEG2RAD, ChainModel, Pose, pose_errors, pose_rows, require_number
 
 
 def _as_spd_matrix(m, dim: int, name: str) -> np.ndarray:
@@ -66,6 +66,8 @@ class ObjectiveSpec:
         object.__setattr__(
             self, "q_jmc", _as_spd_matrix(self.q_jmc, reference.size, "q_jmc")
         )
+        for name in ("w_jmc", "w_ee"):
+            object.__setattr__(self, name, require_number(getattr(self, name), name))
         if not 0 < self.w_ee < np.inf:
             raise ValueError(f"w_ee must be finite and strictly positive, got {self.w_ee}")
         if not 0 <= self.w_jmc < np.inf:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SolverFault
-from .kinematics import ChainModel, Pose, forward_kinematics
+from .kinematics import ChainModel, Pose, forward_kinematics, require_number
 from .objective import LossEvaluator, ObjectiveSpec
 
 # Perturbation vectors are drawn per seed in blocks of iterations, as the
@@ -39,9 +39,8 @@ _BLOCK_MAX = 512
 # history, so its work buffers stay a fraction of the history buffer.
 _SCAN_ROWS = 64
 # The faults that can end a seed's run at iteration k, in the order the
-# checks apply there. A block's events are ranked by 3*k + kind.
-_LOSS, _ITERATE, _TRACE_LOSS = range(3)
-_NO_EVENT = np.iinfo(np.int64).max  # ranks above every event
+# checks apply there; 0 is no fault.
+_LOSS, _ITERATE, _TRACE_LOSS = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,8 @@ class SolverParams:
     trace_every: int = 1
 
     def __post_init__(self):
+        for name in ("a", "A", "c", "alpha", "gamma", "d"):
+            object.__setattr__(self, name, require_number(getattr(self, name), name))
         for name in ("a", "A", "c", "alpha", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -238,21 +239,14 @@ def solve_many(
     configs = np.empty((2 * n_seeds, n))
     plus_configs, minus_configs = configs[:n_seeds], configs[n_seeds:]
     measured = np.empty((block, 2 * n_seeds))
-    loss_plus, loss_minus = measured[:, :n_seeds], measured[:, n_seeds:]
     # row views made once, so the loop does not index the buffers
     hist_rows, measured_rows = list(hist), list(measured)
-    plus_rows, minus_rows = list(loss_plus), list(loss_minus)
+    plus_rows, minus_rows = list(measured[:, :n_seeds]), list(measured[:, n_seeds:])
     step_buf = np.empty((_SCAN_ROWS, n_seeds, n))
 
     active = np.ones(n_seeds, dtype=bool)
     faults: list[SolverFault | None] = [None] * n_seeds
     max_step = np.zeros(n_seeds)
-
-    def first_event(bad: np.ndarray, at: np.ndarray, kind: int) -> np.ndarray:
-        """Rank of each seed's first ``bad`` row (rows happen at ``at``)."""
-        if not bad.shape[0]:
-            return np.full(n_seeds, _NO_EVENT)
-        return np.where(bad.any(axis=0), at[bad.argmax(axis=0)] * 3 + kind, _NO_EVENT)
 
     def settle_block(block_start: int, block_len: int, slot: int) -> int:
         """Trace points, checks and bookkeeping for iterations block_start+1
@@ -261,7 +255,6 @@ def solve_many(
         the first block's first slice). Returns the first trace point of the
         next block."""
         history = hist[: block_len + 1]
-        at_k = np.arange(block_start + 1, block_start + block_len + 1)
         traced = slot  # the first trace point not yet evaluated
         steps = np.empty((block_len, n_seeds))
         for lo in range(0, block_len, _SCAN_ROWS):
@@ -276,29 +269,27 @@ def solve_many(
                 history[lo + 1 : hi + 1], history[lo:hi], out=step_buf[: hi - lo]
             )
             np.abs(step, out=step).max(axis=2, out=steps[lo:hi])
-        measured_bad = ~(
-            np.isfinite(loss_plus[:block_len]) & np.isfinite(loss_minus[:block_len])
-        )
+        # kind[r, s] is seed s's fault at iteration block_start + r. Later
+        # assignments win, so each iteration records its earliest check.
+        kind = np.zeros((block_len + 1, n_seeds), np.int8)
+        values = traces[slot:traced]
+        kind[trace_ks[slot:traced] - block_start] = _TRACE_LOSS * ~np.isfinite(values)
         # An active seed's previous iterate is finite and max propagates
         # NaN, so a step is non-finite exactly where its new iterate is.
-        events = np.minimum(
-            first_event(measured_bad, at_k, _LOSS),
-            first_event(~np.isfinite(steps), at_k, _ITERATE),
-        )
-        values, value_ks = traces[slot:traced], trace_ks[slot:traced]
-        np.minimum(events, first_event(~np.isfinite(values), value_ks, _TRACE_LOSS), out=events)
-        events[~active] = _NO_EVENT
-        event_k, kind = np.divmod(events, 3)
-        np.maximum(
-            max_step, steps.max(axis=0), out=max_step, where=active & (events == _NO_EVENT)
-        )
-        faulted = np.flatnonzero(events != _NO_EVENT)
+        kind[1:][~np.isfinite(steps)] = _ITERATE
+        losses = measured[:block_len].reshape(block_len, 2, n_seeds)  # plus, minus
+        kind[1:][~np.isfinite(losses).all(axis=1)] = _LOSS
+        kind[:, ~active] = 0
+        faulty = kind.any(axis=0)
+        np.maximum(max_step, steps.max(axis=0), out=max_step, where=active & ~faulty)
+        first = (kind != 0).argmax(axis=0)
+        faulted = np.flatnonzero(faulty)
         active[faulted] = False
         for s in faulted:
-            what = "iterate" if kind[s] == _ITERATE else "loss"
+            k = block_start + int(first[s])
+            what = "iterate" if kind[first[s], s] == _ITERATE else "loss"
             faults[s] = SolverFault(
-                f"non-finite {what} at iteration {event_k[s]} (seed {seeds[s]})",
-                iteration=int(event_k[s]),
+                f"non-finite {what} at iteration {k} (seed {seeds[s]})", iteration=k
             )
         return traced
 

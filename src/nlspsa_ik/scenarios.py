@@ -16,7 +16,6 @@ import numpy as np
 
 from .artifacts import (
     _pose_doc,
-    number_from_doc,
     pose_from_doc,
     problem_doc,
     problem_from_doc,
@@ -24,7 +23,7 @@ from .artifacts import (
     write_json,
 )
 from .errors import ScenarioFormatError, ScenarioLookupError
-from .kinematics import DEG2RAD, ChainModel, Pose, forward_kinematics
+from .kinematics import DEG2RAD, ChainModel, Pose, forward_kinematics, require_number
 from .objective import LossEvaluator, ObjectiveSpec, default_r_ee
 
 POSE_TOLERANCE = 1e-9
@@ -184,14 +183,12 @@ def load_scenario(path) -> Scenario:
         else:
             pose = forward_kinematics(chain, spec.reference)
         if "expected_initial_loss" in doc:
-            initial_loss = number_from_doc(
-                doc["expected_initial_loss"], "expected_initial_loss"
-            )
+            initial_loss = require_number(doc["expected_initial_loss"], "expected_initial_loss")
         else:
             initial_loss = LossEvaluator(spec, chain)(spec.reference)
         reported = doc.get("reported_final_loss")
         if reported is not None:
-            reported = number_from_doc(reported, "reported_final_loss")
+            reported = require_number(reported, "reported_final_loss")
         return Scenario(
             id=scenario_id,
             chain=chain,

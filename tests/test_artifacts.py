@@ -230,6 +230,13 @@ class TestRunResult:
         problem = problem_doc(s.id, s.spec, s.chain)
         assert (problem["w_jmc"], problem["w_ee"]) == (s.spec.w_jmc, s.spec.w_ee)
 
+    def test_numpy_gains_write_as_json_numbers(self, tmp_path):
+        params = SolverParams(a=np.float32(3000), A=np.int64(10), d=np.float32(0.5))
+        path = tmp_path / "settings.json"
+        write_json(path, settings_doc(params))
+        loaded = read_json_object(path, ArtifactError)["params"]
+        assert loaded == dataclasses.asdict(SolverParams(a=3000.0, A=10.0, d=0.5))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_writer_rejects_non_finite_floats(self, tmp_path, value):
         # NaN and Infinity are not JSON; a writer that let one through would

@@ -887,14 +887,26 @@ class TestPlotCommand:
         assert repr(field.removesuffix("_diag")) in err
         assert list(tmp_path.glob("*.svg")) == []
 
-    @pytest.mark.parametrize("seed", [True, 1.5, "x y", "a/b"])
-    def test_seed_that_is_not_an_integer_exit_code(self, tmp_path, capsys, seed):
+    @pytest.mark.parametrize(
+        "seed, problem",
+        [
+            (True, f"be an integer, got {True!r}"),
+            (1.5, f"be an integer, got {1.5!r}"),
+            ("x y", f"be an integer, got {'x y'!r}"),
+            ("a/b", f"be an integer, got {'a/b'!r}"),
+            (-1, "be nonnegative, got -1"),
+            (2**64, f"be below 2**64, got {2**64}"),
+        ],
+        ids=["True", "1.5", "x y", "a/b", "-1", "2**64"],
+    )
+    def test_seed_that_is_not_an_integer_exit_code(self, tmp_path, capsys, seed, problem):
+        # the run command's seed rule: an int in [0, 2**64), not bool
         result = self._make_run(tmp_path)
         doc = json.loads(result.read_text())
         doc["seed"] = seed
         result.write_text(json.dumps(doc))
         assert run_cli("plot", "--run", result, "--out", tmp_path) == 4
-        message = ValueError(f"seed must be an integer, got {seed!r}")
+        message = ValueError(f"seed must {problem}")
         assert capsys.readouterr().err == (
             f"i/o error: {result}: malformed run artifact: {message!r}\n"
         )

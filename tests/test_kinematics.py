@@ -112,6 +112,18 @@ class TestPose:
     def test_as_array(self):
         assert np.array_equal(Pose(1, 2, 3).as_array(), [1, 2, 3])
 
+    @pytest.mark.parametrize("name", ["x", "y", "theta_deg"])
+    @pytest.mark.parametrize("value", [True, np.True_, "1"], ids=["True", "np.True_", "str"])
+    def test_rejects_a_field_that_is_not_a_number(self, name, value):
+        fields = {"x": 0.0, "y": 0.0, "theta_deg": 0.0, name: value}
+        with pytest.raises(TypeError, match=f"^Pose.{name} must be a number, got "):
+            Pose(**fields)
+
+    def test_stores_numpy_numbers_as_floats(self):
+        pose = Pose(np.int64(4), np.float32(3), np.int32(180))
+        assert (pose.x, pose.y, pose.theta_deg) == (4.0, 3.0, 180.0)
+        assert all(type(v) is float for v in (pose.x, pose.y, pose.theta_deg))
+
 
 class TestChainModel:
     def test_counts_joints(self):
@@ -257,15 +269,17 @@ class TestPoseCore:
 
 
 class TestJointPositions:
-    def test_tip_matches_forward_kinematics(self):
+    @pytest.mark.parametrize("sid", builtin_ids())
+    def test_tip_matches_forward_kinematics(self, sid):
+        # the plot's chain tip is the run's final_pose, bit for bit
+        chain = builtin(sid).chain
         rng = np.random.default_rng(2)
-        chain = ChainModel(tuple(rng.uniform(0.5, 2.0, 5)))
-        q = rng.uniform(-180, 180, 5)
-        pts = joint_positions(chain, q)
-        pose = forward_kinematics(chain, q)
-        assert pts.shape == (6, 2)
-        assert np.array_equal(pts[0], [0, 0])
-        assert pts[-1] == pytest.approx([pose.x, pose.y], abs=1e-9)
+        for q in rng.uniform(-180, 180, (200, chain.n)):
+            pts = joint_positions(chain, q)
+            pose = forward_kinematics(chain, q)
+            assert pts.shape == (chain.n + 1, 2)
+            assert np.array_equal(pts[0], [0, 0])
+            assert pts[-1, 0] == pose.x and pts[-1, 1] == pose.y
 
     def test_straight_chain_is_horizontal(self):
         pts = joint_positions(ChainModel.unit_links(8), np.zeros(8))

@@ -65,6 +65,17 @@ class TestObjectiveSpecValidation:
     def test_accepts_zero_w_jmc(self):
         assert bent_eight_spec(w_jmc=0.0).w_jmc_norm == 0.0
 
+    @pytest.mark.parametrize("name", ["w_jmc", "w_ee"])
+    @pytest.mark.parametrize("value", [True, np.True_, "50"], ids=["True", "np.True_", "str"])
+    def test_rejects_a_weight_that_is_not_a_number(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got "):
+            bent_eight_spec(**{name: value})
+
+    def test_stores_numpy_weights_as_floats(self):
+        spec = bent_eight_spec(w_jmc=np.int64(2), w_ee=np.float32(50))
+        assert (spec.w_jmc, spec.w_ee) == (2.0, 50.0)
+        assert type(spec.w_jmc) is float and type(spec.w_ee) is float
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ObjectiveSpec(

@@ -72,6 +72,20 @@ class TestSolverParamsValidation:
     def test_accepts_an_unlimited_bound(self):
         assert SolverParams(d=math.inf).d == math.inf
 
+    @pytest.mark.parametrize("name", ["a", "A", "c", "alpha", "gamma", "d"])
+    @pytest.mark.parametrize("value", [True, np.True_, "1.0"], ids=["True", "np.True_", "str"])
+    def test_rejects_a_gain_that_is_not_a_number(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got "):
+            SolverParams(**{name: value})
+
+    def test_accepts_numpy_gains_as_floats(self):
+        params = SolverParams(
+            a=np.float32(3000), A=np.int64(10), c=np.float16(0.5), d=np.int32(1)
+        )
+        gains = [params.a, params.A, params.c, params.alpha, params.gamma, params.d]
+        assert gains == [3000.0, 10.0, 0.5, 0.602, 0.101, 1.0]
+        assert all(type(v) is float for v in gains)
+
 
 class TestSpsaGradient:
     def test_constant_loss_gives_zero(self):

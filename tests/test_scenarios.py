@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -111,6 +112,39 @@ class TestScenarioFiles:
         assert "q_jmc" in doc and "q_jmc_diag" not in doc
         assert doc["joint_limits"]["q_min"] == [-90, -90, -90]
         assert load_scenario(path) == s
+
+    def test_round_trip_numpy_numbers(self, tmp_path):
+        # a pose and weights built from numpy scalars are stored as floats,
+        # so the file is plain JSON and loads back to the same scenario
+        chain = ChainModel((1.0, 2.0, 1.5))
+        q0 = np.array([10.0, 20.0, -5.0])
+        spec = ObjectiveSpec(
+            target=Pose(np.int64(2), np.int64(2), np.int64(25)),
+            reference=q0,
+            r_ee=np.eye(3),
+            q_jmc=np.eye(3),
+            w_jmc=np.int64(2),
+            w_ee=np.float32(50),
+        )
+        s = Scenario(
+            id="numpy",
+            chain=chain,
+            spec=spec,
+            expected_initial_pose=forward_kinematics(chain, q0),
+            expected_initial_loss=combined_loss(spec, chain, q0),
+        )
+        path = tmp_path / "numpy.json"
+        save_scenario(s, path)
+        doc = json.loads(path.read_text())
+        assert doc["target"] == {"x": 2.0, "y": 2.0, "theta_deg": 25.0}
+        assert (doc["w_jmc"], doc["w_ee"]) == (2.0, 50.0)
+        assert load_scenario(path) == s
+
+    @pytest.mark.parametrize("field", ["w_jmc", "w_ee"])
+    def test_bool_weight_rejected_before_it_is_saved(self, field):
+        # a bool used to be saved as true, which load_scenario rejects
+        with pytest.raises(TypeError, match=f"^{field} must be a number, got True$"):
+            dataclasses.replace(builtin("1.1").spec, **{field: True})
 
     def test_load_without_expectations_computes_them(self, tmp_path):
         path = tmp_path / "bare.json"
