@@ -36,6 +36,19 @@ def require_number(value, name: str) -> float:
     return float(value)
 
 
+def require_numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float array, each entry held to :func:`require_number`'s
+    rule, so an entry that is a bool or a string raises ``TypeError`` naming
+    ``name``. Ragged input stays numpy's ``ValueError``."""
+    array = np.asarray(values)
+    if not (isinstance(values, np.ndarray) and array.dtype.kind in "iuf"):
+        # asarray promotes a bool among numbers to a number, so a list is
+        # checked entry by entry
+        for v in np.asarray(values, dtype=object).flat:
+            require_number(v, name)
+    return np.asarray(array, dtype=float)
+
+
 @dataclass(frozen=True)
 class Pose:
     """Planar end-effector pose: position and orientation theta in [0, 360)."""
@@ -67,22 +80,25 @@ class ChainModel:
     count n equals the number of links. ``joint_limits``, when present, is a
     (q_min, q_max) pair of per-joint bounds in degrees; a lower bound may
     be -inf and an upper bound +inf (an unbounded joint), but no bound may
-    be NaN.
+    be NaN. Lengths and bounds are real numbers (:func:`require_number`),
+    stored as floats.
     """
 
     link_lengths: tuple[float, ...]
     joint_limits: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
-        lengths = tuple(float(v) for v in self.link_lengths)
+        lengths = tuple(require_number(v, "link_lengths") for v in self.link_lengths)
         if len(lengths) < 1:
             raise ValueError("chain needs at least one link")
         if not all(math.isfinite(v) and v > 0 for v in lengths):
             raise ValueError(f"link lengths must be positive and finite: {lengths}")
         object.__setattr__(self, "link_lengths", lengths)
         if self.joint_limits is not None:
-            q_min = tuple(float(v) for v in self.joint_limits[0])
-            q_max = tuple(float(v) for v in self.joint_limits[1])
+            q_min, q_max = (
+                tuple(require_number(v, "joint_limits") for v in bounds)
+                for bounds in self.joint_limits
+            )
             if len(q_min) != len(lengths) or len(q_max) != len(lengths):
                 raise ValueError("joint limits must have one entry per joint")
             if not all(lo <= hi for lo, hi in zip(q_min, q_max)):  # false for NaN
@@ -108,7 +124,7 @@ class ChainModel:
 
 
 def _check_joint_vector(chain: ChainModel, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
+    q = require_numbers(q, "joint vector")
     if q.shape != (chain.n,):
         raise ValueError(
             f"joint vector has shape {q.shape}, expected ({chain.n},)"

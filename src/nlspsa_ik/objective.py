@@ -16,11 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import DEG2RAD, ChainModel, Pose, pose_errors, pose_rows, require_number
+from .kinematics import (
+    DEG2RAD,
+    ChainModel,
+    Pose,
+    pose_errors,
+    pose_rows,
+    require_number,
+    require_numbers,
+)
 
 
 def _as_spd_matrix(m, dim: int, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = require_numbers(m, name)
     if m.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -54,7 +62,7 @@ class ObjectiveSpec:
     w_ee: float = 50.0
 
     def __post_init__(self):
-        reference = np.asarray(self.reference, dtype=float)
+        reference = require_numbers(self.reference, "reference")
         if reference.ndim != 1 or reference.size < 1:
             raise ValueError("reference configuration must be a 1-D vector")
         if not np.isfinite(reference).all():
@@ -140,7 +148,7 @@ class LossEvaluator:
         self._work: dict[tuple, tuple] = {}
 
     def __call__(self, q) -> float:
-        q = np.asarray(q, dtype=float)
+        q = require_numbers(q, "joint vector")
         if q.shape != self._q0.shape:  # a 1-entry q would broadcast
             raise ValueError(f"joint vector has shape {q.shape}, expected {self._q0.shape}")
         return float(self.evaluate_many(q[None, :])[0])

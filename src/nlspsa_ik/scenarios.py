@@ -32,7 +32,9 @@ LOSS_TOLERANCE = 5e-5  # 4-decimal rounding of the encoded values
 
 @dataclass(eq=False)
 class Scenario:
-    """A chain, an objective, and the encoded expectations for both."""
+    """A chain, an objective, and the encoded expectations for both. The
+    two losses are real numbers (:func:`~nlspsa_ik.kinematics.require_number`),
+    stored as floats; ``reported_final_loss`` may be None."""
 
     id: str
     chain: ChainModel
@@ -42,6 +44,13 @@ class Scenario:
     reported_final_loss: float | None = None
 
     def __post_init__(self):
+        self.expected_initial_loss = require_number(
+            self.expected_initial_loss, "expected_initial_loss"
+        )
+        if self.reported_final_loss is not None:
+            self.reported_final_loss = require_number(
+                self.reported_final_loss, "reported_final_loss"
+            )
         self.validate()
 
     def validate(self) -> None:
@@ -183,19 +192,16 @@ def load_scenario(path) -> Scenario:
         else:
             pose = forward_kinematics(chain, spec.reference)
         if "expected_initial_loss" in doc:
-            initial_loss = require_number(doc["expected_initial_loss"], "expected_initial_loss")
+            initial_loss = doc["expected_initial_loss"]
         else:
             initial_loss = LossEvaluator(spec, chain)(spec.reference)
-        reported = doc.get("reported_final_loss")
-        if reported is not None:
-            reported = require_number(reported, "reported_final_loss")
         return Scenario(
             id=scenario_id,
             chain=chain,
             spec=spec,
             expected_initial_pose=pose,
             expected_initial_loss=initial_loss,
-            reported_final_loss=reported,
+            reported_final_loss=doc.get("reported_final_loss"),
         )
     except KeyError as exc:
         raise ScenarioFormatError(f"{path}: missing field {exc}") from None

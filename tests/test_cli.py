@@ -1072,6 +1072,50 @@ def test_compare_json_alone_reproduces_the_compare(tmp_path):
     ] == doc["pso_losses"]
 
 
+def test_scenario_file_without_expectations_runs_and_compares(tmp_path):
+    # loading the file computes the initial pose and loss, and run and
+    # compare then give the built-in's results
+    path = tmp_path / "bare.json"
+    save_scenario(builtin("1.6"), path)
+    doc = json.loads(path.read_text())
+    del doc["expected_initial_pose"], doc["expected_initial_loss"]
+    path.write_text(json.dumps(doc))
+    for scenario, out in (("1.6", tmp_path / "builtin"), (path, tmp_path / "bare")):
+        assert run_cli("run", "--scenario", scenario, "--n-max", "200", "--out", out) == 0
+        assert run_cli("compare", "--scenario", scenario, "--seeds", "2",
+                       "--n-max", "200", "--out", out) == 0
+    for name in ("run_1.6_seed0.json", "compare_1.6.json"):
+        builtin_doc, bare_doc = (
+            json.loads((tmp_path / d / name).read_text()) | {"elapsed_s": None}
+            for d in ("builtin", "bare")
+        )
+        assert bare_doc == builtin_doc
+
+
+@pytest.mark.parametrize(
+    "args, status, category",
+    [
+        (["run", "--scenario", "1.1", "--seed", "-1"], 2, "error"),
+        (["run", "--scenario", "9.9"], 3, "scenario error"),
+        (["plot", "--run", "missing.json"], 4, "i/o error"),
+        (["run", "--scenario", "1.1", "--d", "inf", "--a", "1e200", "--n-max", "60"],
+         5, "solver fault"),
+    ],
+    ids=["usage", "scenario", "artifact", "fault"],
+)
+def test_exit_status_reaches_the_shell(args, status, category, tmp_path):
+    # main() returns the status, and the module, like the installed
+    # nlspsa-ik script, exits the process with it
+    env = dict(os.environ, PYTHONPATH=str(Path(nlspsa_ik.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "nlspsa_ik.cli", *args, "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (status, ""), result.stderr
+    assert result.stderr.startswith(f"{category}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_json_records_limits_only_when_set_and_plot_reads_them(tmp_path):
     assert run_cli("run", "--scenario", "1.1", "--n-max", "30", "--out", tmp_path) == 0
     doc = json.loads((tmp_path / "run_1.1_seed0.json").read_text())

@@ -163,6 +163,22 @@ class TestChainModel:
         chain = ChainModel((1.0, 1.0), joint_limits=((-math.inf, 0), (math.inf, math.inf)))
         assert chain.joint_limits == ((-math.inf, 0.0), (math.inf, math.inf))
 
+    # the codec rejects each of these in a file, so the constructor does too
+    @pytest.mark.parametrize(
+        "lengths, limits, name",
+        [
+            ((True, 2.0), None, "link_lengths"),
+            ((np.True_, 2.0), None, "link_lengths"),
+            (("1.5", 2.0), None, "link_lengths"),
+            ((1.0,), ((False,), (True,)), "joint_limits"),
+            ((1.0,), ((-90.0,), ("90",)), "joint_limits"),
+        ],
+        ids=["True", "np.True_", "str", "bool bounds", "str bound"],
+    )
+    def test_rejects_a_length_or_bound_that_is_not_a_number(self, lengths, limits, name):
+        with pytest.raises(TypeError, match=f"^{name} must be a number, got "):
+            ChainModel(lengths, joint_limits=limits)
+
 
 class TestForwardKinematics:
     def test_bent_eight_link(self):
@@ -285,6 +301,19 @@ class TestJointPositions:
         pts = joint_positions(ChainModel.unit_links(8), np.zeros(8))
         assert pts[:, 0] == pytest.approx(np.arange(9), abs=1e-12)
         assert pts[:, 1] == pytest.approx(np.zeros(9), abs=1e-12)
+
+
+# a bool among floats leaves no trace in the float array numpy makes of
+# them, so each entry is checked
+@pytest.mark.parametrize("function", [forward_kinematics, joint_positions])
+@pytest.mark.parametrize(
+    "q",
+    [[True] * 8, ["1"] * 8, [False] + [0.0] * 7, np.ones(8, dtype=bool)],
+    ids=["bools", "strs", "bool among floats", "bool array"],
+)
+def test_joint_vector_that_is_not_numbers_rejected(function, q):
+    with pytest.raises(TypeError, match="^joint vector must be a number, got "):
+        function(ChainModel.unit_links(8), q)
 
 
 class TestPoseError:

@@ -71,6 +71,21 @@ class TestObjectiveSpecValidation:
         with pytest.raises(TypeError, match=f"^{name} must be a number, got "):
             bent_eight_spec(**{name: value})
 
+    # numpy converts each of these to a float array without complaint
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reference", ["0"] * 8),
+            ("reference", [True] + [0.0] * 7),
+            ("q_jmc", np.eye(8, dtype=bool)),
+            ("r_ee", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        ],
+        ids=["str reference", "bool among floats", "bool q_jmc", "str r_ee"],
+    )
+    def test_rejects_an_entry_that_is_not_a_number(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be a number, got "):
+            dataclasses.replace(bent_eight_spec(), **{field: value})
+
     def test_stores_numpy_weights_as_floats(self):
         spec = bent_eight_spec(w_jmc=np.int64(2), w_ee=np.float32(50))
         assert (spec.w_jmc, spec.w_ee) == (2.0, 50.0)
@@ -286,6 +301,13 @@ class TestLossEvaluator:
         # [0.0] broadcasts against the 8-joint reference, so only the shape
         # check stops it.
         with pytest.raises(ValueError, match=r"expected \(8,\)"):
+            LossEvaluator(bent_eight_spec(), CHAIN8)(q)
+
+    @pytest.mark.parametrize(
+        "q", [["0"] * 8, [True] + [0.0] * 7], ids=["strs", "bool among floats"]
+    )
+    def test_call_rejects_a_joint_vector_that_is_not_numbers(self, q):
+        with pytest.raises(TypeError, match="^joint vector must be a number, got "):
             LossEvaluator(bent_eight_spec(), CHAIN8)(q)
 
     @pytest.mark.parametrize("shape", [(3, 1), (3, 9), (8,), (2, 3, 8)])

@@ -146,6 +146,22 @@ class TestScenarioFiles:
         with pytest.raises(TypeError, match=f"^{field} must be a number, got True$"):
             dataclasses.replace(builtin("1.1").spec, **{field: True})
 
+    @pytest.mark.parametrize("field", ["expected_initial_loss", "reported_final_loss"])
+    def test_numpy_loss_saves_as_a_float(self, field, tmp_path):
+        # json cannot write a numpy float32, so the loss is stored as a float
+        base = builtin("1.1")
+        scenario = dataclasses.replace(base, **{field: np.float32(getattr(base, field))})
+        assert type(getattr(scenario, field)) is float
+        path = tmp_path / "numpy.json"
+        save_scenario(scenario, path)
+        assert load_scenario(path) == scenario
+
+    @pytest.mark.parametrize("field", ["expected_initial_loss", "reported_final_loss"])
+    def test_bool_loss_rejected_before_it_is_saved(self, field):
+        # load_scenario rejects a true loss, so the constructor does too
+        with pytest.raises(TypeError, match=f"^{field} must be a number, got True$"):
+            dataclasses.replace(builtin("1.1"), **{field: True})
+
     def test_load_without_expectations_computes_them(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps({
