@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SolverFault
 from .kinematics import ChainModel, forward_kinematics
 from .objective import LossEvaluator, ObjectiveSpec
-from .optimizer import RunRecord, require_count, require_seed
+from .optimizer import RunRecord, SplitMix64, require_count, require_seed
 
 
 # The velocity update's constriction coefficients (Clerc and Kennedy 2002):
@@ -31,19 +31,12 @@ SOCIAL = 1.49618
 POPULATION = 100
 INIT_SPREAD = 20.0
 
-# Each seed draws from its own SplitMix64 stream (Steele, Lea and Flood 2014,
-# with Vigna's reference constants), whose state starts at the seed. Word k
-# = 1, 2, ... of the stream is a fixed mix of seed + k*_GAMMA mod 2**64, so a
-# whole draw is computed in one vector pass. Each word gives two uniforms in
-# [0, 1): its low 32 bits times 2**-32, then its high 32 bits times 2**-32.
-# The swarm takes the first POPULATION*n/2 words, and each generation the
-# next POPULATION*n words, r_cog's uniforms then r_soc's. Generations take
-# whole words, so drawing _DRAW_GENERATIONS of them at once cannot change a
-# result; it amortizes the draw's fixed cost.
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
-_MIX2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
-_MASK = (1 << 64) - 1
+# Each seed's SplitMix64 stream (``optimizer.SplitMix64``) gives two uniforms
+# in [0, 1) per word: its low 32 bits times 2**-32, then its high 32 bits
+# times 2**-32. The swarm takes the first POPULATION*n/2 words, and each
+# generation the next POPULATION*n words, r_cog's uniforms then r_soc's.
+# Generations take whole words, so drawing _DRAW_GENERATIONS of them at once
+# cannot change a result; it amortizes the draw's fixed cost.
 _DRAW_GENERATIONS = 4
 # c1 == c2, so the draw scales every uniform by the pull directly: u32 *
 # (c * 2**-32) rounds once, exactly as (u32 * 2**-32) * c does.
@@ -67,32 +60,11 @@ class PsoParams:
             )
 
 
-class _SplitMix64:
-    """One seed's SplitMix64 stream from ``state``: each ``fill`` draws the
-    next prod(shape)/2 words into a float64 array of ``shape``. The buffers
-    are preallocated, and the state is a Python int: numpy's uint64 arrays
-    wrap silently, but its scalars warn on overflow."""
-
-    def __init__(self, state: int, shape: tuple):
-        self.state = state
-        count = math.prod(shape) // 2
-        self._steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        self._words = np.empty(count, "<u8")
-        self._shifted = np.empty(count, "<u8")
-        # little-endian, so that a word's halves are low then high on any host
-        self._halves = self._words.view("<u4").reshape(shape)
-
-    def fill(self, out: np.ndarray, scale: float = 2.0**-32) -> np.ndarray:
-        """Fill ``out`` with the halves of the stream's next words times ``scale``."""
-        z, shifted = self._words, self._shifted
-        np.add(self._steps, self.state, out=z)
-        self.state = (self.state + len(z) * _GAMMA) & _MASK
-        np.bitwise_xor(z, np.right_shift(z, 30, out=shifted), out=z)
-        np.multiply(z, _MIX1, out=z)
-        np.bitwise_xor(z, np.right_shift(z, 27, out=shifted), out=z)
-        np.multiply(z, _MIX2, out=z)
-        np.bitwise_xor(z, np.right_shift(z, 31, out=shifted), out=z)
-        return np.multiply(self._halves, scale, out=out)
+def _uniforms(stream: SplitMix64, shape: tuple, scale: float = 2.0**-32, out=None):
+    """The halves of the one-seed ``stream``'s next prod(shape)/2 words, in
+    an array of ``shape``, times ``scale``."""
+    halves = stream.draw(math.prod(shape) // 2).view("<u4").reshape(shape)
+    return np.multiply(halves, scale, out=out)
 
 
 def pso_solve(
@@ -112,8 +84,8 @@ def pso_solve(
     started = time.perf_counter()
     pop = POPULATION
     n = chain.n
-    swarm = _SplitMix64(seed, (pop, n))
-    uniforms = swarm.fill(np.empty((pop, n)))
+    stream = SplitMix64([seed])
+    uniforms = _uniforms(stream, (pop, n))
     positions = spec.reference + (2.0 * INIT_SPREAD * uniforms - INIT_SPREAD)
     velocities = np.zeros((pop, n))
     losses = evaluator.evaluate_many(positions)
@@ -131,14 +103,13 @@ def pso_solve(
     # generations.
     pulls = np.empty((_DRAW_GENERATIONS, 2, pop, n))
     pull_rows = [tuple(both) for both in pulls]
-    stream = _SplitMix64(swarm.state, pulls.shape)
     pull = np.empty((pop, n))
     generation = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while evals < params.eval_budget:
             slot = generation % _DRAW_GENERATIONS
             if slot == 0:
-                stream.fill(pulls, _PULL_SCALE)
+                _uniforms(stream, pulls.shape, _PULL_SCALE, out=pulls)
             cog, soc = pull_rows[slot]
             generation += 1
             m = min(pop, params.eval_budget - evals)

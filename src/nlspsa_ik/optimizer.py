@@ -10,7 +10,6 @@ applies the raw update, which is plain SPSA (Spall 1992).
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,16 +20,21 @@ from .errors import SolverFault
 from .kinematics import ChainModel, Pose, forward_kinematics, require_number
 from .objective import LossEvaluator, ObjectiveSpec
 
-# Perturbation vectors are drawn per seed in blocks of iterations, as the
-# bits of one getrandbits call. Each iteration takes whole 32-bit words of
-# the stream (getrandbits drops the unused bits of a partial word), so block
-# draws consume the stream exactly like per-iteration draws, and the block
-# length cannot change a result. The run's bookkeeping is settled once
-# per block, too. Each block costs a draw per seed and a settle pass, while
-# its iterate history costs 8 bytes per iteration, seed and joint. So a
-# block holds at most _BLOCK_VALUES iterate values (512 KiB), within
-# _BLOCK_MIN.._BLOCK_MAX iterations: small batches keep the long block they
-# run fastest with, and large ones trade a few percent of time for memory.
+# SplitMix64's increment and its two mixing multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# Every random draw, NLSPSA's signs and PSO's uniforms, comes from one
+# SplitMix64 stream per seed, starting at the seed. Perturbation vectors are
+# drawn in blocks of iterations. Each iteration takes whole 64-bit words,
+# ceil(n/64) of them, so block draws consume a stream exactly like
+# per-iteration draws, and the block length cannot change a result. The
+# run's bookkeeping is settled once per block, too. Each block costs a draw
+# and a settle pass, while its iterate history costs 8 bytes per iteration,
+# seed and joint. So a block holds at most _BLOCK_VALUES iterate values (512
+# KiB), within _BLOCK_MIN.._BLOCK_MAX iterations: small batches keep the
+# long block they run fastest with, and large ones trade a few percent of
+# time for memory.
 _BLOCK_VALUES = 1 << 16
 _BLOCK_MIN = 128
 _BLOCK_MAX = 512
@@ -99,6 +103,34 @@ def require_seed(seed) -> int:
     if value >= 1 << 64:
         raise ValueError(f"seed must be below 2**64, got {value}")
     return value
+
+
+class SplitMix64:
+    """The SplitMix64 streams (Steele, Lea and Flood 2014, with Vigna's
+    reference constants) of ``seeds``, one per seed, whose state starts at
+    the seed. Word k = 1, 2, ... of a stream is a fixed mix of seed +
+    k*_GAMMA mod 2**64, so one vector pass draws every seed's next words.
+    The state is a uint64 array, one word per seed: numpy's arrays wrap
+    silently, but its scalars warn on overflow."""
+
+    def __init__(self, seeds: Sequence[int]):
+        self.state = np.array(seeds, dtype=np.uint64)
+        self._steps = np.empty(0, np.uint64)
+
+    def draw(self, count: int) -> np.ndarray:
+        """Every seed's next ``count`` words, a (seeds, count) little-endian
+        uint64 array."""
+        if len(self._steps) < count:
+            self._steps = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+        z = np.empty((len(self.state), count), "<u8")
+        np.add(self.state[:, None], self._steps[:count], out=z)
+        self.state = z[:, -1].copy()
+        shifted = np.empty_like(z)
+        np.bitwise_xor(z, np.right_shift(z, 30, out=shifted), out=z)
+        np.multiply(z, _MIX1, out=z)
+        np.bitwise_xor(z, np.right_shift(z, 27, out=shifted), out=z)
+        np.multiply(z, _MIX2, out=z)
+        return np.bitwise_xor(z, np.right_shift(z, 31, out=shifted), out=z)
 
 
 @dataclass(eq=False)
@@ -216,12 +248,10 @@ def solve_many(
         q_hi = np.asarray(limits[1])
 
     started = time.perf_counter()
-    # CPython's MT19937, one stream per seed; Random seeds from abs(seed),
-    # which is why a negative seed is refused above.
-    gens = [random.Random(s) for s in seeds]
-    # Iteration j's perturbation of joint i is bit 32*words*j + i of its
+    # Iteration j's perturbation of joint i is bit 64*words*j + i of its
     # seed's block draw, little-endian: bit 1 is +1 and bit 0 is -1.
-    words = -(-n // 32)
+    stream = SplitMix64(seeds)
+    words = -(-n // 64)
 
     trace_ks = np.arange(0, n_iter + 1, params.trace_every)
     if trace_ks[-1] != n_iter:
@@ -300,12 +330,10 @@ def solve_many(
                 break
             block_len = min(block, n_iter - block_start)
             deltas = hist[1 : block_len + 1]
-            n_bits = 32 * words * block_len
-            drawn = b"".join(
-                gen.getrandbits(n_bits).to_bytes(n_bits // 8, "little") for gen in gens
+            drawn = stream.draw(words * block_len).view(np.uint8)
+            bits = np.unpackbits(
+                drawn.reshape(n_seeds, block_len, 8 * words), axis=2, count=n, bitorder="little"
             )
-            bits = np.unpackbits(np.frombuffer(drawn, np.uint8), bitorder="little")
-            bits = bits.reshape(n_seeds, block_len, 32 * words)[:, :, :n]
             np.multiply(bits.transpose(1, 0, 2), 2.0, out=deltas)
             deltas -= 1.0
             # the gain schedules of this block only: elementwise, so equal to

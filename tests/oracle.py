@@ -6,14 +6,13 @@ the solver only as the batched engine ``solve_many``. These are the
 per-configuration and per-iteration forms written out directly from the
 definitions, so that they stay independent of the code under test. The
 readers of the sweep and compare CSVs are here too, as no command reads
-those files back, one small problem that the solver tests share, and PSO's
-SplitMix64 stream word by word in Python ints.
+those files back, one small problem that the solver tests share, and the
+solvers' SplitMix64 stream word by word in Python ints.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import random
 
 import numpy as np
 
@@ -158,7 +157,7 @@ def reference_solve_many(spec: ObjectiveSpec, chain: ChainModel, params: SolverP
     ``LossEvaluator`` calls (plus, then minus), applies ``saturate`` and the
     joint limits, and checks the measurements, the new iterate and the
     traced loss, in the engine's order. Each iteration draws its own
-    perturbation from the seed's ``random.Random`` stream. A faulted seed's
+    perturbation from the seed's :func:`splitmix64_words`. A faulted seed's
     slot holds a ``SolverFault`` with the engine's message and iteration;
     ``elapsed`` is 0."""
     return [_reference_run(spec, chain, params, int(seed)) for seed in seeds]
@@ -172,17 +171,18 @@ def _reference_run(spec, chain, params, seed):
     trace_ks = np.union1d(np.arange(0, params.n_max + 1, params.trace_every), params.n_max)
     traced = set(trace_ks.tolist())
     loss = LossEvaluator(spec, chain)  # counts this seed's rows
-    # Each iteration draws whole 32-bit words of the seed's stream, and its
-    # joint i is +1 where bit i is set and -1 where it is not.
-    stream = random.Random(seed)
-    words = math.ceil(chain.n / 32)
+    # Each iteration takes the next ceil(n/64) words of the SplitMix64 stream
+    # that starts at the seed, and its joint i is +1 where bit i of their
+    # little-endian concatenation is set and -1 where it is not.
+    words = math.ceil(chain.n / 64)
+    stream = iter(splitmix64_words(seed, words * params.n_max))
     phi = np.asarray(spec.reference, dtype=float)
     trace, max_step = [loss(phi)], 0.0
     if not math.isfinite(trace[0]):
         return fault("loss", 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, a_k, c_k in zip(range(1, params.n_max + 1), a_ks.tolist(), c_ks.tolist()):
-            bits = stream.getrandbits(32 * words)
+            bits = sum(next(stream) << 64 * i for i in range(words))
             delta = np.array([((bits >> i) & 1) * 2.0 - 1.0 for i in range(chain.n)])
             try:
                 update = a_k * spsa_gradient(loss, phi, c_k, delta)

@@ -8,6 +8,7 @@ from nlspsa_ik.baseline import PsoParams, pso_solve
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.kinematics import ChainModel, Pose
 from nlspsa_ik.objective import LossEvaluator, ObjectiveSpec
+from nlspsa_ik.optimizer import SplitMix64
 from nlspsa_ik.scenarios import builtin, builtin_ids
 from oracle import splitmix64_words
 
@@ -86,7 +87,7 @@ class TestPsoSolve:
         rec = pso_solve(spec, chain, params, 5)
         # recompute the initial sample independently: the swarm's offsets
         # are the stream's first 200 uniforms, mapped onto [-20, 20)
-        uniforms = baseline._SplitMix64(5, (100, 2)).fill(np.empty((100, 2)))
+        uniforms = baseline._uniforms(SplitMix64([5]), (100, 2))
         positions = spec.reference + (-20.0 + 40.0 * uniforms)
         losses = LossEvaluator(spec, chain).evaluate_many(positions)
         assert rec.final_loss == losses.min()
@@ -163,10 +164,10 @@ def frozen_pso_generations(spec, chain, params, seed):
     evaluator = LossEvaluator(spec, chain)
     pop = baseline.POPULATION
     n = chain.n
-    stream = baseline._SplitMix64(seed, (pop, n))
+    stream = SplitMix64([seed])
     spread = baseline.INIT_SPREAD
 
-    positions = spec.reference + (-spread + 2 * spread * stream.fill(np.empty((pop, n))))
+    positions = spec.reference + (-spread + 2 * spread * baseline._uniforms(stream, (pop, n)))
     velocities = np.zeros((pop, n))
     losses = evaluator.evaluate_many(positions)
     evals = pop
@@ -180,8 +181,8 @@ def frozen_pso_generations(spec, chain, params, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         while evals < params.eval_budget:
             m = min(pop, params.eval_budget - evals)
-            r_cog = stream.fill(np.empty((pop, n)))
-            r_soc = stream.fill(np.empty((pop, n)))
+            r_cog = baseline._uniforms(stream, (pop, n))
+            r_soc = baseline._uniforms(stream, (pop, n))
             velocities = (
                 baseline.INERTIA * velocities
                 + baseline.COGNITIVE * r_cog * (pbest_pos - positions)
@@ -228,8 +229,9 @@ def test_generation_step_matches_frozen_loop(scenario_id, setting):
 
 
 class TestStream:
-    """PSO's SplitMix64 stream: integer arithmetic plus one exact scaling, so
-    its words and uniforms are the same on every host and numpy version."""
+    """The SplitMix64 stream of both solvers, as PSO reads it: integer
+    arithmetic plus one exact scaling, so its words and uniforms are the
+    same on every host and numpy version."""
 
     def test_reference_words(self):
         # Vigna's splitmix64.c from state 1234567
@@ -237,23 +239,17 @@ class TestStream:
             6457827717110365317, 3203168211198807973, 9817491932198370423,
             4593380528125082431, 16408922859458223821,
         ]
-        stream = baseline._SplitMix64(1234567, (5, 2))
-        halves = stream.fill(np.empty((5, 2)), 1.0).astype(np.uint64).reshape(5, 2)
-        words = halves[:, 0] | halves[:, 1] << np.uint64(32)
-        assert words.tolist() == splitmix64_words(1234567, 5)
+        assert SplitMix64([1234567]).draw(5).tolist() == [splitmix64_words(1234567, 5)]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("n", [2, 3, 20])
     def test_draws_match_the_oracle_word_for_word(self, seed, n):
-        # the swarm's draw, then one generation, then blocks of generations,
-        # each stream taking over the state of the one before
+        # the swarm's draw, then one generation, then blocks of generations
         pop = baseline.POPULATION
         shapes = [(pop, n), (2, pop, n)] + [(baseline._DRAW_GENERATIONS, 2, pop, n)] * 2
-        state, drawn = seed, []
+        stream, drawn = SplitMix64([seed]), []
         for shape in shapes:
-            stream = baseline._SplitMix64(state, shape)
-            drawn.extend(stream.fill(np.empty(shape)).ravel().tolist())
-            state = stream.state
+            drawn.extend(baseline._uniforms(stream, shape).ravel().tolist())
         expected = [
             half * 2.0**-32
             for word in splitmix64_words(seed, len(drawn) // 2)
@@ -271,5 +267,5 @@ class TestStream:
 
     @pytest.mark.parametrize("seed", FIRST_UNIFORMS)
     def test_first_uniforms_are_pinned(self, seed):
-        stream = baseline._SplitMix64(seed, (6,))
-        assert stream.fill(np.empty(6)).tolist() == self.FIRST_UNIFORMS[seed]
+        uniforms = baseline._uniforms(SplitMix64([seed]), (6,))
+        assert uniforms.tolist() == self.FIRST_UNIFORMS[seed]

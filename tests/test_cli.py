@@ -1149,9 +1149,8 @@ def test_run_loads_no_process_pool(tmp_path):
 
 
 def test_no_command_loads_numpy_random(tmp_path):
-    # NLSPSA draws its perturbation bits from the stdlib's random and PSO
-    # from its own SplitMix64, so no command imports numpy.random, which
-    # with secrets and hmac costs about 5.5 MB.
+    # Both solvers draw from the package's own SplitMix64, so no command
+    # imports numpy.random, which with secrets and hmac costs about 5.5 MB.
     out = str(tmp_path)
     code = (
         "import sys\n"

@@ -59,6 +59,7 @@ MIXED_HI = np.array([1.0, INF, INF, 1.0, 1.0, 1.0, INF, INF])
 PROBLEMS = {
     "three-joint": three_joint_problem,
     "forty-joint": lambda: unit_link_problem(40),
+    "seventy-joint": lambda: unit_link_problem(70),
     "1.1-full-weights": lambda: full_weights("1.1"),
     "1.1-limits-5-95": lambda: limited("1.1", lambda q0: ((-5.0,) * 8, (95.0,) * 8)),
     # limits that bind: the iterate reaches them, and then a measured plus
@@ -114,9 +115,13 @@ CASES = [
         for sid in ("1.1", "1.7", "2.1")
     ),
     case("three-joint-2seeds", "three-joint", [4, 9], n_max=150),
-    # two 32-bit words of perturbation bits per iteration, across a block
-    # boundary at 512 iterations
+    # 40 of a 64-bit word's perturbation bits per iteration, and two 64-bit
+    # words (70 of their bits), each across a block boundary at 512
+    # iterations
     case("forty-joint-2seeds", "forty-joint", [0, 1], n_max=600, trace_every=7),
+    case("seventy-joint", "seventy-joint", [3], n_max=600, trace_every=7),
+    # seeds whose streams' states wrap past 2**64, across a block boundary
+    case("1.1-extreme-seeds", "1.1", [0, 2**63, 2**64 - 1], n_max=600, trace_every=7),
     # 128-iteration blocks; n_max is a multiple of neither block length
     case("1.1-block128", "1.1", SEEDS, block_values=0, n_max=1100, trace_every=7),
     case("three-joint-block128", "three-joint", SEEDS, block_values=0, n_max=1000, trace_every=9),

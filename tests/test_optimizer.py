@@ -1,21 +1,28 @@
 import dataclasses
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import nlspsa_ik
-from nlspsa_ik import optimizer
+from nlspsa_ik import baseline, optimizer
 from nlspsa_ik.errors import SolverFault
 from nlspsa_ik.objective import LossEvaluator
-from nlspsa_ik.optimizer import RunRecord, SolverParams, saturate, solve, solve_many
+from nlspsa_ik.optimizer import (
+    RunRecord,
+    SolverParams,
+    SplitMix64,
+    saturate,
+    solve,
+    solve_many,
+)
 from nlspsa_ik.scenarios import builtin
 from oracle import (
     gain_schedules,
     loss_gradient,
+    splitmix64_words,
     spsa_gradient,
     three_joint_problem,
     unit_link_problem,
@@ -402,30 +409,30 @@ class TestSolve:
 # The first iteration's perturbation, one sign per joint, of seeds 0 and 1
 # at 8 and 40 joints.
 FIRST_PERTURBATION = {
-    (0, 8): "+-++--++",
-    (1, 8): "+-+-++++",
-    (0, 40): "+-++--+++++-------++-+-----++-++-+++++-+",
-    (1, 40): "+-+-+++++---++-++-+--++--+---+---+-+--+-",
+    (0, 8): "++++-+-+",
+    (1, 8): "+-----++",
+    (0, 40): "++++-+-++-++--+++-+++---++-++++-+--+++--",
+    (1, 40): "+-----++--+++-+--+------+--+---+--++-+++",
 }
 
 
 @pytest.mark.parametrize("seed, n", FIRST_PERTURBATION)
-def test_perturbation_stream_is_cpython_mt19937(seed, n):
-    """The perturbation bits come from CPython's MT19937
-    ``random.Random(seed).getrandbits``, whole 32-bit words per iteration,
-    joint i being bit i. CPython has kept that stream from 3.6 to 3.13; an
-    interpreter that changes it changes every solver result, and fails
-    here first."""
-    bits = random.Random(seed).getrandbits(32 * math.ceil(n / 32))
-    signs = "".join("+" if bits >> i & 1 else "-" for i in range(n))
+def test_both_solvers_read_one_splitmix64_stream(seed, n):
+    """NLSPSA's first perturbation is the low n bits of the seed's first
+    SplitMix64 word, joint i being bit i, and PSO's first uniform is that
+    word's low half times 2**-32."""
+    (word,) = splitmix64_words(seed, 1)
+    signs = "".join("+" if word >> i & 1 else "-" for i in range(n))
     assert signs == FIRST_PERTURBATION[seed, n]
+    first_uniform = baseline._uniforms(SplitMix64([seed]), (2,))[0]
+    assert first_uniform == (word & 0xFFFFFFFF) * 2.0**-32
 
 
 @pytest.mark.parametrize("n", [8, 40])
 def test_engine_first_perturbation_is_pinned(monkeypatch, n):
     """``solve_many``'s first loss call measures each seed's start plus and
-    minus c_1 times its first perturbation, drawn from CPython's MT19937
-    ``getrandbits`` stream."""
+    minus c_1 times its first perturbation, drawn from its SplitMix64
+    stream."""
     spec, chain = unit_link_problem(n)
     calls = []
 
