@@ -1,7 +1,6 @@
 """Run, sweep, and comparison artifacts and scenario files: the one JSON
 reader and strict JSON writer, the problem codec they all share, the
-per-seed table that sweep and compare write, the CSV writers and the trace
-reader.
+per-seed table that sweep writes, the CSV writers and the trace reader.
 
 Floats are serialized with ``repr`` (shortest round-trip form), so re-parsing
 any file reproduces the in-memory values exactly and repeated writes of the
@@ -31,15 +30,16 @@ from .optimizer import RunRecord, SolverParams
 _CSV_CHUNK = 1024
 
 
-def _median(values, axis=None):
-    """``np.median`` of NaN-free, non-empty ``values``, bit for bit.
+def _median(values):
+    """``np.median`` of NaN-free, non-empty ``values`` along axis 0, bit for
+    bit.
 
     The middle of the sorted values, or the mean of the middle two computed
     as ``np.median`` computes it: ``(s[h - 1] + s[h]) / 2``. ``np.median``
     itself checks for masked arrays, which imports ``numpy.ma`` (about 1 MB
     of memory) into every command that reports a median.
     """
-    s = np.sort(values, axis=axis)
+    s = np.sort(values, axis=0)
     h = s.shape[0] // 2
     return s[h] if s.shape[0] % 2 else (s[h - 1] + s[h]) / 2
 
@@ -109,25 +109,23 @@ def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(iterations, dtype=int), cells[:, 0]
 
 
-def seed_table(spec: ObjectiveSpec, outcomes) -> np.ndarray:
-    """The per-seed results of ``solve_many`` or ``pso_solve``, one row per
+def seed_table(spec: ObjectiveSpec, outcomes, total_wall_ms: float) -> np.ndarray:
+    """The per-seed results of a sweep's ``solve_many``, one row per
     outcome, in the sweep CSV's columns after ``seed``: final loss, position
     error, absolute theta error, ``wall_ms``, then ``|q_final - q0|`` per
     joint.
 
     An outcome is a :class:`RunRecord`, or the exception of a seed whose run
-    faulted, whose row is all NaN. A seed's ``wall_ms`` is its
-    ``RunRecord.elapsed``: the wall time of the batch it ran in divided by
-    the seeds in that batch.
+    faulted, whose row is all NaN. A finished seed's ``wall_ms`` is its even
+    share of the sweep's measured ``total_wall_ms``: a record holds no time.
     """
     table = np.full((len(outcomes), 4 + spec.n), np.nan)
+    wall_ms = total_wall_ms / len(outcomes)
     for row, outcome in zip(table, outcomes):
         if isinstance(outcome, Exception):
             continue
         dx, dy, dtheta = pose_error(spec.target, outcome.final_pose)
-        row[:4] = (
-            outcome.final_loss, math.hypot(dx, dy), abs(dtheta), outcome.elapsed * 1e3
-        )
+        row[:4] = (outcome.final_loss, math.hypot(dx, dy), abs(dtheta), wall_ms)
         row[4:] = np.abs(outcome.final_iterate - spec.reference)
     return table
 
@@ -161,7 +159,7 @@ def sweep_doc(seeds, outcomes, table: np.ndarray, total_wall_ms: float) -> dict:
     finished = table[~np.isnan(table[:, 0])]
     stats: dict = {"completed": len(finished), "failed": len(table) - len(finished)}
     if len(finished):
-        median = _median(finished, axis=0).tolist()
+        median = _median(finished).tolist()
         stats.update(
             median_final_loss=median[0],
             min_final_loss=float(finished[:, 0].min()),
@@ -311,9 +309,10 @@ def settings_doc(params: SolverParams) -> dict:
     }
 
 
-def run_result_doc(record: RunRecord, trace_csv: str) -> dict:
+def run_result_doc(record: RunRecord, trace_csv: str, elapsed_s: float) -> dict:
     """The outcome of one run, which its JSON records after the problem and
-    the settings, and the name of its trace CSV."""
+    the settings: the record, the run's measured solve time ``elapsed_s``
+    and the name of its trace CSV."""
     return {
         "seed": record.seed,
         "final_q_deg": [float(v) for v in record.final_iterate],
@@ -325,7 +324,7 @@ def run_result_doc(record: RunRecord, trace_csv: str) -> dict:
         "trace_evaluations": record.trace_evaluations,
         "iterations": record.iterations,
         "max_step_inf": record.max_step_inf,
-        "elapsed_s": record.elapsed,
+        "elapsed_s": elapsed_s,
         "trace_csv": trace_csv,
     }
 
@@ -340,10 +339,9 @@ def _finished_median(losses: np.ndarray) -> float | None:
 def compare_doc(pso_params: PsoParams, seeds, nl_losses, pso_losses) -> dict:
     """The outcome of a compare, which its JSON records after the problem and
     the settings: PSO's budget and swarm, each solver's per-seed final loss
-    (column 0 of :func:`seed_table`) and median over its finished seeds, and
-    the solver with the lower median. A loss is null where a seed faulted,
-    and a median and the winner are null where no seed of a solver
-    finished."""
+    (NaN where the seed faulted) and median over its finished seeds, and
+    the solver with the lower median. A faulted seed's loss is null, and a
+    median and the winner are null where no seed of a solver finished."""
     nl_median, pso_median = map(_finished_median, (nl_losses, pso_losses))
     if nl_median is None or pso_median is None:
         winner = None

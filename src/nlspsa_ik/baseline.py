@@ -8,7 +8,6 @@ defaults.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,6 @@ def pso_solve(
     """
     seed = require_seed(seed)
     evaluator = LossEvaluator(spec, chain)
-    started = time.perf_counter()
     pop = POPULATION
     n = chain.n
     stream = SplitMix64([seed])
@@ -145,5 +143,4 @@ def pso_solve(
         iterations=generation,
         max_step_inf=float("nan"),
         seed=seed,
-        elapsed=time.perf_counter() - started,
     )

@@ -1,8 +1,9 @@
 """Command-line front end: run scenarios, sweep seeds, compare against PSO,
 and render SVG figures from run artifacts.
 
-Exit codes: 0 success, 2 usage error, 3 scenario error, 4 I/O or artifact
-error, 5 solver fault.
+Exit codes: 0 success, 2 usage error (or a run too large for memory), 3
+scenario error, 4 I/O or artifact error, 5 solver fault. This module is the
+one place that measures wall time.
 """
 from __future__ import annotations
 
@@ -114,19 +115,21 @@ def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     spec = _effective_spec(scenario, args)
     params = _solver_params(args)
+    started = time.perf_counter()
     record = solve(spec, scenario.chain, params, args.seed)
+    elapsed_s = time.perf_counter() - started
     out = _outdir(args)
     stem = f"run_{_safe_name(scenario.id)}_seed{args.seed}"
     write_trace_csv(out / f"{stem}.csv", record)
-    doc = _artifact_doc(scenario, spec, params, run_result_doc(record, f"{stem}.csv"))
-    write_json(out / f"{stem}.json", doc)
+    results = run_result_doc(record, f"{stem}.csv", elapsed_s)
+    write_json(out / f"{stem}.json", _artifact_doc(scenario, spec, params, results))
     pose = record.final_pose
     print(
         f"run {scenario.id} seed {args.seed} [nlspsa]: "
         f"initial loss {record.initial_loss:.4f}, "
         f"final loss {record.final_loss:.4e}, "
         f"pose ({pose.x:.4f}, {pose.y:.4f}, {pose.theta_deg:.4f} deg), "
-        f"{record.evaluations} evals, {record.elapsed:.2f}s"
+        f"{record.evaluations} evals, {elapsed_s:.2f}s"
     )
     print(f"wrote {out / f'{stem}.csv'} and {out / f'{stem}.json'}")
     return EXIT_OK
@@ -171,7 +174,7 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     outcomes = _sweep_outcomes(spec, scenario.chain, params, seeds, args.jobs)
     total_wall_ms = (time.perf_counter() - started) * 1e3
-    table = seed_table(spec, outcomes)
+    table = seed_table(spec, outcomes, total_wall_ms)
     out = _outdir(args)
     stem = f"sweep_{_safe_name(scenario.id)}"
     write_sweep_csv(out / f"{stem}.csv", seeds, table)
@@ -211,7 +214,8 @@ def cmd_compare(args) -> int:
             pso_outcomes.append(fault)
     # as in a sweep, a faulted seed's loss is NaN
     nl_losses, pso_losses = (
-        seed_table(spec, outcomes)[:, 0] for outcomes in (nl_outcomes, pso_outcomes)
+        np.array([np.nan if isinstance(o, SolverFault) else o.final_loss for o in outcomes])
+        for outcomes in (nl_outcomes, pso_outcomes)
     )
     out = _outdir(args)
     stem = f"compare_{_safe_name(scenario.id)}"
@@ -336,6 +340,9 @@ def main(argv=None) -> int:
         return EXIT_FAULT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

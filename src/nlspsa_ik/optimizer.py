@@ -10,7 +10,6 @@ applies the raw update, which is plain SPSA (Spall 1992).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -147,9 +146,9 @@ class RunRecord:
     ``best_loss`` are its first, last and lowest value (``best_loss`` is
     diagnostic only). From ``solve_many``, ``loss_trace`` and
     ``trace_iterations`` are read-only views into arrays that the records of
-    one batch share; copy them before writing. ``elapsed`` is the wall time, in seconds, of the
-    batch the seed ran in divided by the seeds in that batch; a single-seed
-    solve reports its own wall time.
+    one batch share; copy them before writing. A record holds only what the
+    seed's solve determined: no wall time, which the CLI measures per
+    command.
     """
 
     final_iterate: np.ndarray
@@ -161,7 +160,6 @@ class RunRecord:
     iterations: int
     max_step_inf: float
     seed: int
-    elapsed: float
 
     @property
     def initial_loss(self) -> float:
@@ -218,11 +216,11 @@ def solve_many(
     """Run one solver instance per seed, batched over a shared iteration loop.
 
     Each seed, an integer in [0, 2**64) (any other raises ``ValueError``),
-    owns an independent PRNG stream and every batch size
-    runs the same arithmetic, so a seed's result is bit-identical whichever
-    seeds share its batch. A failed seed's slot holds its :class:`SolverFault`
-    instead of a record, and the other seeds keep running. ``elapsed`` is
-    apportioned evenly across the batch.
+    owns an independent PRNG stream and every batch size runs the same
+    arithmetic, so a seed's record is bit-identical, field for field,
+    whichever seeds share its batch. A failed seed's slot holds its
+    :class:`SolverFault` instead of a record, and the other seeds keep
+    running.
 
     Each iteration only measures the two losses, in one loss call on every
     seed's stacked plus and minus configurations, and takes the step, storing
@@ -247,7 +245,6 @@ def solve_many(
         q_lo = np.asarray(limits[0])
         q_hi = np.asarray(limits[1])
 
-    started = time.perf_counter()
     # Iteration j's perturbation of joint i is bit 64*words*j + i of its
     # seed's block draw, little-endian: bit 1 is +1 and bit 0 is -1.
     stream = SplitMix64(seeds)
@@ -361,7 +358,6 @@ def solve_many(
             slot = settle_block(block_start, block_len, slot)
             hist[0] = hist[block_len]
 
-    elapsed = (time.perf_counter() - started) / n_seeds
     # A record's trace is a read-only view of its column of the batch's
     # trace: no per-seed copies.
     traces.setflags(write=False)
@@ -382,7 +378,6 @@ def solve_many(
                 iterations=n_iter,
                 max_step_inf=float(max_step[s]),
                 seed=seeds[s],
-                elapsed=elapsed,
             )
         )
     return results

@@ -158,8 +158,7 @@ def reference_solve_many(spec: ObjectiveSpec, chain: ChainModel, params: SolverP
     joint limits, and checks the measurements, the new iterate and the
     traced loss, in the engine's order. Each iteration draws its own
     perturbation from the seed's :func:`splitmix64_words`. A faulted seed's
-    slot holds a ``SolverFault`` with the engine's message and iteration;
-    ``elapsed`` is 0."""
+    slot holds a ``SolverFault`` with the engine's message and iteration."""
     return [_reference_run(spec, chain, params, int(seed)) for seed in seeds]
 
 
@@ -209,20 +208,16 @@ def _reference_run(spec, chain, params, seed):
         iterations=k,
         max_step_inf=max_step,
         seed=seed,
-        elapsed=0.0,
     )
 
 
 def assert_same_outcome(got, want):
-    """Every RunRecord field but ``elapsed`` is bit-identical, or both are
-    the same fault."""
+    """Every RunRecord field is bit-identical, or both are the same fault."""
     assert type(got) is type(want), got
     if isinstance(want, SolverFault):
         assert (str(got), got.iteration) == (str(want), want.iteration)
         return
     for field in dataclasses.fields(RunRecord):
-        if field.name == "elapsed":
-            continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name == "final_pose":
             a, b = a.as_array(), b.as_array()

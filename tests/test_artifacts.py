@@ -93,7 +93,7 @@ class TestSeedTable:
         from nlspsa_ik.optimizer import solve_many
 
         outcomes = solve_many(s.spec, s.chain, SolverParams(n_max=40), range(5))
-        table = seed_table(s.spec, outcomes)
+        table = seed_table(s.spec, outcomes, 1.0)
         stats = sweep_doc(range(5), outcomes, table, 1.0)["stats"]
         assert stats["completed"] == 5
         assert stats["median_final_loss"] == np.median(table[:, 0])
@@ -109,7 +109,7 @@ class TestSeedTable:
     def test_faulted_seed_marked_not_aborted(self, short_run):
         s, rec = short_run
         outcomes = [rec, SolverFault("boom", iteration=3)]
-        table = seed_table(s.spec, outcomes)
+        table = seed_table(s.spec, outcomes, 1.0)
         assert table.shape == (2, 4 + s.chain.n)
         assert not np.isnan(table[0]).any() and np.isnan(table[1]).all()
         doc = sweep_doc([0, 1], outcomes, table, 1.0)
@@ -121,15 +121,17 @@ class TestSeedTable:
     def test_total_wall_ms_is_given_not_summed(self, short_run):
         s, rec = short_run
         outcomes = [rec, SolverFault("x")]
-        doc = sweep_doc([0, 1], outcomes, seed_table(s.spec, outcomes), 12.5)
+        doc = sweep_doc([0, 1], outcomes, seed_table(s.spec, outcomes, 12.5), 12.5)
         assert doc["stats"]["total_wall_ms"] == 12.5
+        # a finished seed's wall_ms is its even share of the total
+        assert [entry["wall_ms"] for entry in doc["per_seed"]] == [6.25, None]
         faulted = [SolverFault("x")]
-        doc = sweep_doc([0], faulted, seed_table(s.spec, faulted), 3.0)
+        doc = sweep_doc([0], faulted, seed_table(s.spec, faulted, 3.0), 3.0)
         assert doc["stats"] == {"completed": 0, "failed": 1, "total_wall_ms": 3.0}
 
     def test_csv_round_trip_with_nan(self, short_run, tmp_path):
         s, rec = short_run
-        table = seed_table(s.spec, [rec, SolverFault("x")])
+        table = seed_table(s.spec, [rec, SolverFault("x")], 1.0)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, [0, 1], table)
         cols = read_sweep_csv(path)
@@ -140,7 +142,7 @@ class TestSeedTable:
 
     def test_csv_bytes_deterministic(self, short_run, tmp_path):
         s, rec = short_run
-        table = seed_table(s.spec, [rec])
+        table = seed_table(s.spec, [rec], 1.0)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_csv(a, [0], table)
         write_sweep_csv(b, [0], table)
@@ -149,7 +151,7 @@ class TestSeedTable:
     def test_csv_bytes_match_the_csv_module(self, short_run, tmp_path):
         # a faulted seed's NaN row, and odd values that need no quoting
         s, rec = short_run
-        table = seed_table(s.spec, [rec, SolverFault("x"), rec])
+        table = seed_table(s.spec, [rec, SolverFault("x"), rec], 1.0)
         table[2, :3] = [-0.0, np.inf, 1e-300]
         table[2, 4:6] = [-0.0, 1e-300]
         write_sweep_csv(tmp_path / "sweep.csv", [0, 1, 2], table)
@@ -208,7 +210,7 @@ class TestRunResult:
         doc = {
             **problem_doc(s.id, s.spec, s.chain),
             **settings_doc(params),
-            **run_result_doc(rec, "trace.csv"),
+            **run_result_doc(rec, "trace.csv", 0.25),
         }
         path = tmp_path / "run.json"
         write_json(path, doc)
@@ -220,6 +222,7 @@ class TestRunResult:
         assert loaded["final_q_deg"] == [float(v) for v in rec.final_iterate]
         assert loaded["final_loss"] == rec.final_loss
         assert loaded["params"]["n_max"] == 40
+        assert loaded["elapsed_s"] == 0.25
 
     def test_params_keys_in_order(self, short_run):
         # every SolverParams field; the loss weights belong to the problem
@@ -279,4 +282,4 @@ class TestMedian:
         rng = np.random.default_rng(rows)
         for _ in range(50):
             x = self.values(rng, (rows, 8))
-            assert np.array_equal(_median(x, axis=0), np.median(x, axis=0), equal_nan=True)
+            assert np.array_equal(_median(x), np.median(x, axis=0), equal_nan=True)

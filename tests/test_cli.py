@@ -151,6 +151,40 @@ class TestRunCommand:
             run_cli("run")  # --scenario missing
         assert excinfo.value.code == 2
 
+    def test_elapsed_is_measured_wall_time(self, tmp_path, monkeypatch, capsys):
+        # The run JSON's elapsed_s and the printed seconds are the CLI's
+        # measurement of the solve; a record holds no time.
+        scenario = builtin("1.1")
+        record = solve(scenario.spec, scenario.chain, SolverParams(n_max=20))
+
+        def slow_solve(spec, chain, params, seed):
+            time.sleep(0.05)
+            return record
+
+        monkeypatch.setattr(cli, "solve", slow_solve)
+        code = run_cli("run", "--scenario", "1.1", "--n-max", "20", "--out", tmp_path)
+        assert code == 0
+        elapsed_s = json.loads((tmp_path / "run_1.1_seed0.json").read_text())["elapsed_s"]
+        assert elapsed_s >= 0.05
+        assert capsys.readouterr().out.splitlines()[0].endswith(f", {elapsed_s:.2f}s")
+
+    def test_run_too_large_for_memory_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # A stand-in for the failing allocation: a real oversized array could
+        # succeed on a host that overcommits memory, and then fill it.
+        def exhausting_solve(spec, chain, params, seed):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(cli, "solve", exhausting_solve)
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--scenario", "1.1", "--n-max", "1000000000000000", "--out", out
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 7.11 PiB for an array\n"
+        )
+        assert not out.exists()
+
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         code = run_cli("run", "--scenario", "1.1", "--seed", "-1", "--out", tmp_path)
         assert code == 2
@@ -510,13 +544,10 @@ class TestSweepCommand:
         assert faults[2] == faults[1]
 
     def test_total_wall_ms_is_measured_wall_time(self, tmp_path, monkeypatch):
-        # Per-seed times share out a batch's time; the total is measured and
-        # also covers faulted seeds.
+        # The total is measured and also covers faulted seeds; each finished
+        # seed's time is its even share of it.
         scenario = builtin("1.1")
-        record = dataclasses.replace(
-            solve(scenario.spec, scenario.chain, SolverParams(n_max=20)),
-            elapsed=0.0,
-        )
+        record = solve(scenario.spec, scenario.chain, SolverParams(n_max=20))
 
         def slow_solve_many(spec, chain, params, seeds):
             time.sleep(0.05)
@@ -530,7 +561,7 @@ class TestSweepCommand:
         assert code == 0
         stats = json.loads((tmp_path / "sweep_1.1.json").read_text())["stats"]
         assert (stats["completed"], stats["failed"]) == (1, 1)
-        assert stats["median_wall_ms"] == 0.0
+        assert stats["median_wall_ms"] == stats["total_wall_ms"] / 2
         assert stats["total_wall_ms"] >= 50
 
     def test_csv_and_json_agree_seed_for_seed(self, tmp_path, monkeypatch):

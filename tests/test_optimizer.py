@@ -278,7 +278,7 @@ class TestSolve:
     def test_losses_are_read_from_the_trace(self):
         scenario = builtin("1.1")
         rec = solve(scenario.spec, scenario.chain, SolverParams(n_max=300, trace_every=7), 0)
-        assert len(dataclasses.fields(RunRecord)) == 10
+        assert len(dataclasses.fields(RunRecord)) == 9
         trace = rec.loss_trace
         assert (rec.initial_loss, rec.final_loss, rec.best_loss) == (
             trace[0], trace[-1], trace.min()
