@@ -1,5 +1,7 @@
 """Command-line front end: run scenarios, sweep seeds, compare against PSO,
-and render SVG figures from run artifacts.
+and render SVG figures from run artifacts. ``run``, ``sweep`` and ``compare``
+solve the problem of their ``--scenario`` as it stands; the options set only
+the solver, so another weighting is a scenario file with its own id.
 
 Exit codes: 0 success, 2 usage error (or a run too large for memory), 3
 scenario error, 4 I/O or artifact error, 5 solver fault. This module is the
@@ -35,7 +37,6 @@ from .artifacts import (
 from .baseline import PsoParams, pso_solve
 from .errors import ArtifactError, ScenarioError, ScenarioLookupError, SolverFault
 from .kinematics import joint_positions
-from .objective import ObjectiveSpec
 from .optimizer import SolverParams, require_seed, solve, solve_many
 from .scenarios import Scenario, builtin, builtin_ids, load_scenario
 from .svgplot import convergence_svg, posture_svg
@@ -54,17 +55,6 @@ def _resolve_scenario(token: str) -> Scenario:
     if path.exists():
         return load_scenario(path)
     raise ScenarioLookupError(token, builtin_ids())
-
-
-def _effective_spec(scenario: Scenario, args) -> ObjectiveSpec:
-    overrides = {}
-    if args.w_jmc is not None:
-        overrides["w_jmc"] = args.w_jmc
-    if args.w_ee is not None:
-        overrides["w_ee"] = args.w_ee
-    if not overrides:
-        return scenario.spec
-    return dataclasses.replace(scenario.spec, **overrides)
 
 
 def _solver_params(args) -> SolverParams:
@@ -98,12 +88,10 @@ def _outdir(args) -> Path:
     return out
 
 
-def _artifact_doc(
-    scenario: Scenario, spec: ObjectiveSpec, params: SolverParams, results: dict
-) -> dict:
-    """A run, sweep or compare JSON: the problem solved, as a scenario file
-    stores it, the solver settings, then ``results``."""
-    problem = problem_doc(scenario.id, spec, scenario.chain)
+def _artifact_doc(scenario: Scenario, params: SolverParams, results: dict) -> dict:
+    """A run, sweep or compare JSON: the scenario's problem, as a scenario
+    file stores it, the solver settings, then ``results``."""
+    problem = problem_doc(scenario.id, scenario.spec, scenario.chain)
     return {**problem, **settings_doc(params), **results}
 
 
@@ -113,16 +101,15 @@ def _safe_name(s: str) -> str:
 
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
-    spec = _effective_spec(scenario, args)
     params = _solver_params(args)
     started = time.perf_counter()
-    record = solve(spec, scenario.chain, params, args.seed)
+    record = solve(scenario.spec, scenario.chain, params, args.seed)
     elapsed_s = time.perf_counter() - started
     out = _outdir(args)
     stem = f"run_{_safe_name(scenario.id)}_seed{args.seed}"
     write_trace_csv(out / f"{stem}.csv", record)
     results = run_result_doc(record, f"{stem}.csv", elapsed_s)
-    write_json(out / f"{stem}.json", _artifact_doc(scenario, spec, params, results))
+    write_json(out / f"{stem}.json", _artifact_doc(scenario, params, results))
     pose = record.final_pose
     print(
         f"run {scenario.id} seed {args.seed} [nlspsa]: "
@@ -170,16 +157,15 @@ def cmd_sweep(args) -> int:
     params = _batch_params(args)
     seeds = _batch_seeds(args)
     scenario = _resolve_scenario(args.scenario)
-    spec = _effective_spec(scenario, args)
     started = time.perf_counter()
-    outcomes = _sweep_outcomes(spec, scenario.chain, params, seeds, args.jobs)
+    outcomes = _sweep_outcomes(scenario.spec, scenario.chain, params, seeds, args.jobs)
     total_wall_ms = (time.perf_counter() - started) * 1e3
-    table = seed_table(spec, outcomes, total_wall_ms)
+    table = seed_table(scenario.spec, outcomes, total_wall_ms)
     out = _outdir(args)
     stem = f"sweep_{_safe_name(scenario.id)}"
     write_sweep_csv(out / f"{stem}.csv", seeds, table)
     doc = sweep_doc(seeds, outcomes, table, total_wall_ms)
-    write_json(out / f"{stem}.json", _artifact_doc(scenario, spec, params, doc))
+    write_json(out / f"{stem}.json", _artifact_doc(scenario, params, doc))
     stats = doc["stats"]
     if stats["completed"] == 0:
         print(f"sweep {scenario.id}: all {len(seeds)} seeds faulted")
@@ -200,16 +186,15 @@ def cmd_compare(args) -> int:
     params = _batch_params(args)
     seeds = _batch_seeds(args)
     scenario = _resolve_scenario(args.scenario)
-    spec = _effective_spec(scenario, args)
     budget = 2 * params.n_max
     # built first, so that a budget below the swarm fails before any seed is
     # solved
     pso_params = PsoParams(eval_budget=budget)
-    nl_outcomes = solve_many(spec, scenario.chain, params, seeds)
+    nl_outcomes = solve_many(scenario.spec, scenario.chain, params, seeds)
     pso_outcomes: list = []
     for seed in seeds:
         try:
-            pso_outcomes.append(pso_solve(spec, scenario.chain, pso_params, seed))
+            pso_outcomes.append(pso_solve(scenario.spec, scenario.chain, pso_params, seed))
         except SolverFault as fault:
             pso_outcomes.append(fault)
     # as in a sweep, a faulted seed's loss is NaN
@@ -221,7 +206,7 @@ def cmd_compare(args) -> int:
     stem = f"compare_{_safe_name(scenario.id)}"
     write_compare_csv(out / f"{stem}.csv", seeds, nl_losses, pso_losses)
     doc = compare_doc(pso_params, seeds, nl_losses, pso_losses)
-    write_json(out / f"{stem}.json", _artifact_doc(scenario, spec, params, doc))
+    write_json(out / f"{stem}.json", _artifact_doc(scenario, params, doc))
     nl_median, pso_median = (
         np.nan if doc[k] is None else doc[k] for k in ("nlspsa_median", "pso_median")
     )
@@ -266,13 +251,11 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scenario",
         required=True,
-        help="built-in scenario id (e.g. 1.1) or path to a scenario JSON file",
+        help="built-in scenario id (e.g. 1.1) or path to a scenario JSON file "
+             "(a run, sweep or compare JSON also serves); its problem is solved "
+             "as it stands",
     )
     p.add_argument("--out", default="runs", help="output directory (default: runs)")
-    p.add_argument("--w-jmc", type=float, default=None, dest="w_jmc",
-                   help="override the motion-cost weight")
-    p.add_argument("--w-ee", type=float, default=None, dest="w_ee",
-                   help="override the end-effector weight")
     solver = p.add_argument_group("solver parameters")
     solver.add_argument("--n-max", type=int, default=None, dest="n_max",
                         help="iteration budget (default: 25000)")

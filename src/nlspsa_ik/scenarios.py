@@ -180,13 +180,24 @@ def load_scenario(path) -> Scenario:
     r_ee or r_ee_diag, q_jmc or q_jmc_diag, w_jmc, w_ee. Optional:
     joint_limits {q_min, q_max}, expected_initial_pose,
     expected_initial_loss, reported_final_loss (the expectations are
-    computed from the data when absent). Any problem is a
-    :class:`ScenarioFormatError` naming the file. A run, sweep or compare
-    JSON loads too, as the problem it solved: each starts with these fields.
+    computed from the data when absent). A built-in's id stands for that
+    built-in's problem alone, so a file that gives it to another problem is
+    refused. Any problem is a :class:`ScenarioFormatError` naming the file.
+    A run, sweep or compare JSON loads too, as the problem it solved: each
+    starts with these fields.
     """
     doc = read_json_object(path, ScenarioFormatError)
     try:
         scenario_id, spec, chain = problem_from_doc(doc)
+        if scenario_id in _BUILTINS:
+            known = builtin(scenario_id)
+            if problem_doc(scenario_id, spec, chain) != problem_doc(
+                scenario_id, known.spec, known.chain
+            ):
+                raise ValueError(
+                    f"id {scenario_id!r} is a built-in scenario's, but the file "
+                    "holds another problem; give it an id of its own"
+                )
         if "expected_initial_pose" in doc:
             pose = pose_from_doc(doc["expected_initial_pose"])
         else:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import nlspsa_ik
-from nlspsa_ik.artifacts import read_trace_csv
+from nlspsa_ik.artifacts import problem_doc, read_trace_csv
 from nlspsa_ik import cli
 from nlspsa_ik.baseline import PsoParams, pso_solve
 from nlspsa_ik.cli import main
@@ -123,28 +123,47 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "run_1.2_seed0.json").exists()
 
-    def test_weight_override_changes_loss(self, tmp_path):
-        run_cli("run", "--scenario", "1.5", "--n-max", "50", "--out", tmp_path)
-        base = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
-        run_cli(
-            "run", "--scenario", "1.5", "--n-max", "50", "--w-jmc", "10",
-            "--out", tmp_path,
+    def test_another_weighting_runs_under_its_own_id(self, tmp_path):
+        # a scenario file sets the weights, and its id names the artifacts
+        base = builtin("1.5")
+        spec = dataclasses.replace(base.spec, w_jmc=10.0)
+        heavy = Scenario(
+            id="1.5-heavy-motion",
+            chain=base.chain,
+            spec=spec,
+            expected_initial_pose=base.expected_initial_pose,
+            expected_initial_loss=combined_loss(spec, base.chain, spec.reference),
         )
-        heavy = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
-        assert heavy["initial_loss"] != base["initial_loss"]
-        assert heavy["w_jmc"] == 10.0
+        path = tmp_path / "heavy.json"
+        save_scenario(heavy, path)
+        for scenario in ("1.5", path):
+            assert run_cli("run", "--scenario", scenario, "--n-max", "50",
+                           "--out", tmp_path) == 0
+        base_doc, heavy_doc = (
+            json.loads((tmp_path / f"run_{name}_seed0.json").read_text())
+            for name in ("1.5", "1.5-heavy-motion")
+        )
+        assert (tmp_path / "run_1.5_seed0.csv").exists()
+        assert (tmp_path / "run_1.5-heavy-motion_seed0.csv").exists()
+        assert heavy_doc["initial_loss"] != base_doc["initial_loss"]
+        assert heavy_doc["w_jmc"] == 10.0
+        problem = problem_doc("1.5", base.spec, base.chain)
+        assert {key: base_doc[key] for key in problem} == problem
 
-    def test_end_effector_weight_override_changes_loss(self, tmp_path):
-        run_cli("run", "--scenario", "1.5", "--n-max", "50", "--out", tmp_path)
-        base = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
-        run_cli(
-            "run", "--scenario", "1.5", "--n-max", "50", "--w-ee", "10",
-            "--out", tmp_path,
-        )
-        heavy = json.loads((tmp_path / "run_1.5_seed0.json").read_text())
-        assert heavy["initial_loss"] != base["initial_loss"]
-        assert heavy["w_ee"] == 10.0
-        assert heavy["w_jmc"] == base["w_jmc"]
+    def test_builtin_id_over_another_problem_is_a_scenario_error(self, tmp_path, capsys):
+        # without its expected initial loss, the file holds a consistent
+        # problem that is not 1.1, under 1.1's id
+        path = tmp_path / "reweighted.json"
+        save_scenario(builtin("1.1"), path)
+        doc = json.loads(path.read_text())
+        doc["w_jmc"] = 2.0
+        del doc["expected_initial_loss"]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", path, "--n-max", "5", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {path}: ") and "'1.1'" in err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -227,6 +246,7 @@ def _edited_scenario_file(tmp_path, **fields):
         ("reported_final_loss", "abc", ""),
         ("expected_initial_loss", float("nan"), "expected_initial_loss is nan"),
         ("reported_final_loss", float("nan"), "reported_final_loss is nan"),
+        ("w_jmc", float("nan"), "w_jmc must be finite"),
         # the reference's own check fails, not q_jmc's shape check
         ("q0_deg", None, "reference configuration"),
     ],
@@ -281,13 +301,13 @@ def test_nan_joint_limit_in_a_scenario_file_is_a_scenario_error(tmp_path, capsys
     assert err.startswith("scenario error: ") and "NaN" in err
 
 
-# the loss weights and the real solver settings; the bound d may be inf
+# the real solver settings; the bound d may be inf
 @pytest.mark.parametrize(
     "value, option",
     [
         (value, option)
         for value in ("nan", "inf")
-        for option in ("--w-jmc", "--w-ee", "--a", "--A", "--c", "--alpha", "--gamma", "--d")
+        for option in ("--a", "--A", "--c", "--alpha", "--gamma", "--d")
         if (value, option) != ("inf", "--d")
     ],
 )
@@ -308,13 +328,20 @@ def test_negative_infinite_bound_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# plain SPSA is --d inf, and another weighting is a scenario file of its own
+@pytest.mark.parametrize(
+    "option",
+    [("--variant", "spsa"), ("--w-jmc", "10"), ("--w-ee", "10")],
+    ids=["variant", "w-jmc", "w-ee"],
+)
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
-def test_variant_is_not_an_option(command, tmp_path, capsys):
-    # plain SPSA is --d inf
+def test_removed_option_is_a_usage_error(command, option, tmp_path, capsys):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as excinfo:
-        run_cli(command, "--scenario", "1.1", "--variant", "spsa", "--out", tmp_path)
+        run_cli(command, "--scenario", "1.1", *option, "--n-max", "50", "--out", out)
     assert excinfo.value.code == 2
-    assert "unrecognized arguments: --variant spsa" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unlimited_bound_runs_plain_spsa(tmp_path, capsys):
@@ -351,15 +378,20 @@ def test_plain_spsa_artifacts_are_strict_json(tmp_path):
     compare = strict_json(tmp_path / "compare_1.1.json")
     assert compare["nlspsa_losses"] == [None, None] and compare["winner"] is None
     assert compare["params"]["d"] is None
+    # each solved exactly the built-in's problem
+    scenario = builtin("1.1")
+    problem = list(problem_doc("1.1", scenario.spec, scenario.chain).items())
+    for doc in (run, sweep, compare):
+        assert list(doc.items())[: len(problem)] == problem
 
 
 def _unbounded_scenario() -> Scenario:
     """1.1 with every lower joint limit at -inf and the first upper one at
-    +inf."""
+    +inf, under an id of its own."""
     base = builtin("1.1")
     limits = ((-math.inf,) * 8, (math.inf,) + (180.0,) * 7)
     chain = ChainModel(base.chain.link_lengths, joint_limits=limits)
-    return dataclasses.replace(base, chain=chain)
+    return dataclasses.replace(base, id="1.1-unbounded", chain=chain)
 
 
 def test_infinite_joint_limits_are_strict_json(tmp_path):
@@ -374,7 +406,7 @@ def test_infinite_joint_limits_are_strict_json(tmp_path):
     assert run_cli("run", "--scenario", path, "--n-max", "30", "--out", tmp_path) == 0
     assert run_cli("sweep", "--scenario", path, "--n-max", "30", "--seeds", "2",
                    "--out", tmp_path) == 0
-    for name in ("run_1.1_seed0.json", "sweep_1.1.json"):
+    for name in ("run_1.1-unbounded_seed0.json", "sweep_1.1-unbounded.json"):
         doc = strict_json(tmp_path / name)
         assert doc["joint_limits"] == strict_json(path)["joint_limits"]
         assert load_scenario(tmp_path / name).chain == scenario.chain
@@ -1015,13 +1047,14 @@ class TestSvgRendering:
         assert len(ys) == 1 and np.isfinite(list(ys)).all()
 
 
-def _limited_scenario_file(tmp_path):
-    """1.1 with a full r_ee and joint limits 1 degree either side of q0,
-    tight enough to clip within 300 iterations."""
+def _limited_scenario_file(tmp_path, w_jmc=1.0):
+    """1.1 with a full r_ee, the motion-cost weight ``w_jmc`` and joint
+    limits 1 degree either side of q0, tight enough to clip within 300
+    iterations."""
     base = builtin("1.1")
     r_ee = default_r_ee()
     r_ee[0, 1] = r_ee[1, 0] = 0.01
-    spec = dataclasses.replace(base.spec, r_ee=r_ee)
+    spec = dataclasses.replace(base.spec, r_ee=r_ee, w_jmc=w_jmc)
     q0 = spec.reference
     chain = ChainModel(base.chain.link_lengths, joint_limits=(q0 - 1.0, q0 + 1.0))
     scenario = Scenario(
@@ -1048,8 +1081,8 @@ def _from_artifact(path):
 
 def test_run_json_alone_reproduces_the_run(tmp_path):
     code = run_cli(
-        "run", "--scenario", _limited_scenario_file(tmp_path), "--seed", "3",
-        "--n-max", "300", "--w-jmc", "2.0", "--out", tmp_path,
+        "run", "--scenario", _limited_scenario_file(tmp_path, w_jmc=2.0), "--seed", "3",
+        "--n-max", "300", "--out", tmp_path,
     )
     assert code == 0
     scenario, params, doc = _from_artifact(tmp_path / "run_limited_seed3.json")
@@ -1072,8 +1105,8 @@ def test_run_json_alone_reproduces_the_run(tmp_path):
 
 def test_sweep_json_alone_reproduces_the_sweep(tmp_path):
     code = run_cli(
-        "sweep", "--scenario", _limited_scenario_file(tmp_path), "--seeds", "3",
-        "--n-max", "200", "--d", "0.5", "--w-jmc", "3", "--a", "100",
+        "sweep", "--scenario", _limited_scenario_file(tmp_path, w_jmc=3.0),
+        "--seeds", "3", "--n-max", "200", "--d", "0.5", "--a", "100",
         "--out", tmp_path,
     )
     assert code == 0
